@@ -39,8 +39,10 @@
 //! is the chaos driver — multi-tenant load with one saturated tenant,
 //! a mid-storm worker kill, and a verifier that demands exactly-once
 //! resolution of every sequenced record, bitwise-correct per-tenant
-//! predictions, a closed fleet residue, and non-saturated p99 within
-//! budget of an unloaded baseline.
+//! predictions, a closed fleet residue, and non-saturated storm p99
+//! within `max(2 × unloaded baseline p99, --p99-floor-ms)`. The floor
+//! defaults to 200 ms, so it is the binding term whenever the baseline
+//! p99 is under 100 ms.
 
 #![deny(missing_docs)]
 #![deny(unsafe_code)]

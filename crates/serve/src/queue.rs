@@ -31,7 +31,6 @@
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Condvar, Mutex};
-use std::time::Instant;
 
 /// What [`BoundedQueue::push`] does when the queue is at capacity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -104,13 +103,13 @@ impl<T> TryPushError<T> {
     }
 }
 
-/// Outcome of a deadline-bounded pop.
+/// Outcome of a non-blocking [`try_pop`](BoundedQueue::try_pop).
 #[derive(Debug, PartialEq, Eq)]
 pub enum PopResult<T> {
     /// An item was dequeued.
     Item(T),
-    /// The deadline passed with the queue empty.
-    TimedOut,
+    /// The queue is momentarily empty but still open.
+    Empty,
     /// The queue is closed and fully drained.
     Closed,
 }
@@ -249,42 +248,37 @@ impl<T> BoundedQueue<T> {
         }
     }
 
-    /// Dequeues, giving up at `deadline` — the wait primitive of the
-    /// micro-batcher's flush timer.
-    pub fn pop_deadline(&self, deadline: Instant) -> PopResult<T> {
+    /// Moves up to `max` items into `out` under one lock hold,
+    /// blocking only while the queue is empty and open — the worker's
+    /// work-conserving drain: whatever is queued the moment a consumer
+    /// asks becomes its next batch, so no record waits for company.
+    /// Returns `false`, appending nothing, once the queue is closed
+    /// and drained.
+    pub fn pop_batch(&self, max: usize, out: &mut Vec<T>) -> bool {
         // lint:allow(panic, reason = "poison propagation: see module doc — a poisoned queue must panic into the supervisor, not serve corrupted state")
         let mut state = self.state.lock().expect("queue poisoned");
         loop {
-            if let Some(item) = state.items.pop_front() {
-                self.popped.fetch_add(1, Ordering::Relaxed);
+            let n = max.min(state.items.len());
+            if n > 0 {
+                out.extend(state.items.drain(..n));
+                self.popped.fetch_add(n as u64, Ordering::Relaxed);
                 drop(state);
-                self.not_full.notify_one();
-                return PopResult::Item(item);
+                // One wake-up for the whole batch: up to `n` slots just
+                // freed, so every parked `Block` producer may proceed
+                // (each re-checks capacity under the lock).
+                self.not_full.notify_all();
+                return true;
             }
             if state.closed {
-                return PopResult::Closed;
+                return false;
             }
-            let now = Instant::now();
-            let Some(wait) = deadline
-                .checked_duration_since(now)
-                .filter(|d| !d.is_zero())
-            else {
-                return PopResult::TimedOut;
-            };
-            let (guard, timeout) = self
-                .not_empty
-                .wait_timeout(state, wait)
-                // lint:allow(panic, reason = "poison propagation: see module doc")
-                .expect("queue poisoned");
-            state = guard;
-            if timeout.timed_out() && state.items.is_empty() && !state.closed {
-                return PopResult::TimedOut;
-            }
+            // lint:allow(panic, reason = "poison propagation: see module doc")
+            state = self.not_empty.wait(state).expect("queue poisoned");
         }
     }
 
     /// Non-blocking dequeue: `Item` when something was buffered,
-    /// `TimedOut` when the queue is momentarily empty but still open
+    /// `Empty` when the queue is momentarily empty but still open
     /// (the readiness reactor's "would block"), `Closed` once the
     /// queue is both closed and drained. Never parks the caller.
     pub fn try_pop(&self) -> PopResult<T> {
@@ -299,7 +293,7 @@ impl<T> BoundedQueue<T> {
         if state.closed {
             PopResult::Closed
         } else {
-            PopResult::TimedOut
+            PopResult::Empty
         }
     }
 
@@ -468,10 +462,10 @@ mod tests {
     #[test]
     fn try_pop_never_blocks() {
         let q: BoundedQueue<u8> = BoundedQueue::new(4, BackpressurePolicy::Block);
-        assert_eq!(q.try_pop(), PopResult::TimedOut);
+        assert_eq!(q.try_pop(), PopResult::Empty);
         q.push(5).unwrap();
         assert_eq!(q.try_pop(), PopResult::Item(5));
-        assert_eq!(q.try_pop(), PopResult::TimedOut);
+        assert_eq!(q.try_pop(), PopResult::Empty);
         q.push(6).unwrap();
         q.close();
         // Closed queues still drain what they hold before signalling.
@@ -510,23 +504,93 @@ mod tests {
     }
 
     #[test]
-    fn pop_deadline_times_out_and_recovers() {
-        let q: BoundedQueue<u8> = BoundedQueue::new(4, BackpressurePolicy::Block);
-        let t = Instant::now();
-        assert_eq!(
-            q.pop_deadline(t + Duration::from_millis(20)),
-            PopResult::TimedOut
+    fn pop_batch_takes_what_is_queued_without_waiting_to_fill() {
+        let q = BoundedQueue::new(8, BackpressurePolicy::Block);
+        q.push(1).unwrap();
+        q.push(2).unwrap();
+        let mut out = Vec::new();
+        // Two queued, room for five: returns the partial batch at once.
+        assert!(q.pop_batch(5, &mut out));
+        assert_eq!(out, vec![1, 2]);
+        assert_eq!(q.counters().popped, 2);
+    }
+
+    #[test]
+    fn pop_batch_caps_at_max_and_keeps_fifo_order() {
+        let q = BoundedQueue::new(8, BackpressurePolicy::Block);
+        for i in 0..7 {
+            q.push(i).unwrap();
+        }
+        let mut out = vec![-1];
+        assert!(q.pop_batch(3, &mut out));
+        // Appends after what the caller already holds.
+        assert_eq!(out, vec![-1, 0, 1, 2]);
+        out.clear();
+        assert!(q.pop_batch(3, &mut out));
+        assert_eq!(out, vec![3, 4, 5]);
+        out.clear();
+        assert!(q.pop_batch(3, &mut out));
+        assert_eq!(out, vec![6]);
+        let c = q.counters();
+        assert_eq!((c.pushed, c.popped, c.depth), (7, 7, 0));
+    }
+
+    #[test]
+    fn pop_batch_blocks_only_while_empty() {
+        let q = Arc::new(BoundedQueue::new(4, BackpressurePolicy::Block));
+        let consumer = {
+            let q = Arc::clone(&q);
+            std::thread::spawn(move || {
+                let mut out = Vec::new();
+                let more = q.pop_batch(4, &mut out);
+                (more, out)
+            })
+        };
+        std::thread::sleep(Duration::from_millis(30));
+        assert!(
+            !consumer.is_finished(),
+            "pop_batch returned on an empty queue"
         );
-        assert!(t.elapsed() >= Duration::from_millis(20));
-        q.push(9).unwrap();
-        assert_eq!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(20)),
-            PopResult::Item(9)
-        );
+        q.push(7).unwrap();
+        assert_eq!(consumer.join().unwrap(), (true, vec![7]));
+    }
+
+    #[test]
+    fn pop_batch_unblocks_parked_block_producers() {
+        let q = Arc::new(BoundedQueue::new(2, BackpressurePolicy::Block));
+        q.push(0).unwrap();
+        q.push(1).unwrap();
+        let producers: Vec<_> = (2..4)
+            .map(|i| {
+                let q = Arc::clone(&q);
+                std::thread::spawn(move || q.push(i).unwrap())
+            })
+            .collect();
+        std::thread::sleep(Duration::from_millis(30));
+        assert_eq!(q.len(), 2, "producers should be parked on the full queue");
+        let mut out = Vec::new();
+        assert!(q.pop_batch(2, &mut out));
+        // One drain of two slots releases both parked producers.
+        for p in producers {
+            p.join().unwrap();
+        }
+        assert!(q.pop_batch(2, &mut out));
+        out.sort_unstable();
+        assert_eq!(out, vec![0, 1, 2, 3]);
+        assert_eq!(q.counters().dropped, 0);
+    }
+
+    #[test]
+    fn pop_batch_drains_a_closed_queue_then_reports_end() {
+        let q = BoundedQueue::new(4, BackpressurePolicy::Block);
+        q.push('a').unwrap();
+        q.push('b').unwrap();
         q.close();
-        assert_eq!(
-            q.pop_deadline(Instant::now() + Duration::from_millis(5)),
-            PopResult::Closed
-        );
+        let mut out = Vec::new();
+        assert!(q.pop_batch(1, &mut out));
+        assert!(q.pop_batch(8, &mut out));
+        assert_eq!(out, vec!['a', 'b']);
+        assert!(!q.pop_batch(8, &mut out));
+        assert_eq!(out, vec!['a', 'b'], "a drained queue appends nothing");
     }
 }

@@ -1,11 +1,10 @@
 //! Assembly of the serving pipeline:
-//! `SensorClient → shard queue → supervised worker (micro-batch →
-//! batched forward) → prediction channel`, with a side path
+//! `SensorClient → shard queue → supervised worker (drain what is
+//! queued → batched forward) → prediction channel`, with a side path
 //! `labelled records → trainer queue → OnlineDetector → hot swap`
 //! and a fault-tolerance layer (supervised restarts, dead-letter
 //! quarantine, crash-safe checkpoints) around all of it.
 
-use crate::batcher::BatchConfig;
 use crate::metrics::MetricsRegistry;
 use crate::model::{ModelHandle, ServedModel};
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushError, QueueCounters};
@@ -64,8 +63,11 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Full-queue behaviour of the ingestion queues.
     pub policy: BackpressurePolicy,
-    /// Per-worker micro-batching knobs.
-    pub batch: BatchConfig,
+    /// Most records a worker drains from its queue into one batched
+    /// forward pass. Workers never wait for a batch to fill: a free
+    /// worker scores whatever is queued, up to this many (0 counts
+    /// as 1).
+    pub max_batch: usize,
     /// `Some` enables continual training + hot model swap.
     pub online: Option<OnlineTrainingConfig>,
     /// Panic supervision and quarantine knobs.
@@ -85,7 +87,7 @@ impl Default for ServeConfig {
             n_shards: 4,
             queue_capacity: 1024,
             policy: BackpressurePolicy::DropOldest,
-            batch: BatchConfig::default(),
+            max_batch: 32,
             online: Some(OnlineTrainingConfig::default()),
             supervisor: SupervisorConfig::default(),
             checkpoint: None,
@@ -577,7 +579,6 @@ impl ServeRuntime {
         let worker_metrics = WorkerMetrics {
             records: metrics.counter("serve.records"),
             batches: metrics.counter("serve.batches"),
-            deadline_flushes: metrics.counter("serve.deadline_flushes"),
             restarts: metrics.counter("serve.restarts"),
             poisoned: metrics.counter("serve.poisoned_records"),
             state_resets: metrics.counter("serve.state_resets"),
@@ -595,7 +596,7 @@ impl ServeRuntime {
                 shard,
                 queue,
                 model: Arc::clone(&model),
-                batch: config.batch,
+                max_batch: config.max_batch.max(1),
                 out: out_tx.clone(),
                 trainer_queue: trainer_queue.clone(),
                 metrics: worker_metrics.clone(),
@@ -976,10 +977,7 @@ mod tests {
             n_shards: 2,
             policy: BackpressurePolicy::Block,
             online: None,
-            batch: BatchConfig {
-                max_batch: 8,
-                max_delay: Duration::from_millis(1),
-            },
+            max_batch: 8,
             ..ServeConfig::default()
         }
     }
@@ -1003,15 +1001,24 @@ mod tests {
         let (rt, rx) = ServeRuntime::start_temporal(temporal.clone(), temporal_config()).unwrap();
         let mut clients: Vec<SensorClient> =
             (0..3).map(|i| rt.client(&format!("sensor-{i}"))).collect();
-        // Interleave the three sensors record-by-record so flushes mix
-        // them into shared batches — the invariant under test is that
-        // this multiplexing is bitwise invisible.
+        let batch_size = rt.metrics().histogram("serve.batch_size");
+        // Hold every shard's state lock while all records queue up: a
+        // worker that gets records parks inside its first flush, so the
+        // backlog behind it drains in full 8-record batches. Three sensors on two shards
+        // put at least two on one shard, and interleaving them
+        // record-by-record mixes them into shared batches — the
+        // invariant under test is that this multiplexing is bitwise
+        // invisible.
+        let table = Arc::clone(rt.states.as_ref().expect("temporal runtime"));
+        let held: Vec<_> = (0..2).map(|s| table.lock_shard(s)).collect();
         for r in 0..per {
             for (client, stream) in clients.iter_mut().zip(&streams) {
                 client.submit(stream[r]).unwrap();
             }
         }
+        drop(held);
         let report = rt.shutdown();
+        assert_eq!(batch_size.max(), 8, "no full multi-sensor batch formed");
         assert_eq!(report.unaccounted_records(), 0);
         assert_eq!(report.records_served, (3 * per) as u64);
         let mut by_sensor: BTreeMap<String, Vec<Prediction>> = BTreeMap::new();

@@ -1,5 +1,12 @@
-//! The worker shard: dequeue → micro-batch → one batched forward,
-//! supervised against panics.
+//! The worker shard: drain the queue → one batched forward, supervised
+//! against panics.
+//!
+//! Batching is work-conserving: the moment a worker is free it takes
+//! *whatever* is queued, up to `max_batch` records, in one
+//! [`BoundedQueue::pop_batch`] and scores it at once. It never holds a
+//! record back waiting for a fuller batch, so at low offered load a
+//! record pays only its own forward pass; under saturation the queue
+//! refills while a batch is scored and batches fill by themselves.
 //!
 //! Each worker owns its queue end and scores against an immutable
 //! model snapshot re-read *between* batches (never mid-batch), so the
@@ -7,17 +14,17 @@
 //! a single `Arc` re-read away.
 //!
 //! The batch loop runs under `catch_unwind`: a panic while scoring
-//! quarantines the in-flight batch into the dead-letter buffer, bumps
-//! the shard's restart counter and resumes the loop on the *same*
-//! queue — per-sensor ordering and the queue's exact counters survive
-//! the fault. Past `max_restarts_per_shard` the shard fails closed:
-//! it closes its queue (producers see `SubmitError::Shutdown`) and
-//! quarantines the remnant so every accepted record stays accounted.
+//! quarantines exactly the popped batch into the dead-letter buffer,
+//! bumps the shard's restart counter and resumes the loop on the
+//! *same* queue — per-sensor ordering and the queue's exact counters
+//! survive the fault. Past `max_restarts_per_shard` the shard fails
+//! closed: it closes its queue (producers see `SubmitError::Shutdown`)
+//! and quarantines the remnant so every accepted record stays
+//! accounted.
 
-use crate::batcher::{BatchConfig, MicroBatcher};
 use crate::metrics::{Counter, Histogram};
 use crate::model::{ModelHandle, ServedModel};
-use crate::queue::{BoundedQueue, PopResult};
+use crate::queue::BoundedQueue;
 use crate::state::{SensorState, StateTable};
 use crate::supervisor::{is_scorable, panic_message, SupervisorState};
 use crate::trainer::LabelledRecord;
@@ -58,7 +65,7 @@ pub struct Prediction {
     pub proba: f64,
     /// Version of the model snapshot that scored the record.
     pub model_version: u64,
-    /// Queue + batching + inference time, ingest to scored.
+    /// Queue wait + inference time, ingest to scored.
     pub latency: Duration,
 }
 
@@ -67,7 +74,6 @@ pub struct Prediction {
 pub(crate) struct WorkerMetrics {
     pub records: Arc<Counter>,
     pub batches: Arc<Counter>,
-    pub deadline_flushes: Arc<Counter>,
     pub restarts: Arc<Counter>,
     pub poisoned: Arc<Counter>,
     pub state_resets: Arc<Counter>,
@@ -81,7 +87,8 @@ pub(crate) struct WorkerContext {
     pub shard: usize,
     pub queue: Arc<BoundedQueue<Job>>,
     pub model: Arc<ModelHandle>,
-    pub batch: BatchConfig,
+    /// Most records one drain takes (at least 1).
+    pub max_batch: usize,
     pub out: mpsc::Sender<Prediction>,
     pub trainer_queue: Option<Arc<BoundedQueue<LabelledRecord>>>,
     pub metrics: WorkerMetrics,
@@ -130,11 +137,10 @@ impl WorkerContext {
 /// The supervision loop around the batch-scoring loop. Runs until the
 /// queue is closed and drained, surviving up to `max_restarts` panics.
 pub(crate) fn run(ctx: WorkerContext) {
-    // Both cells live *outside* the unwind boundary so a panic while
-    // scoring cannot lose records: `in_flight` holds the batch being
-    // scored, the batcher holds the not-yet-flushed remainder.
-    let in_flight: RefCell<Option<Vec<Job>>> = RefCell::new(None);
-    let batcher = RefCell::new(MicroBatcher::new(ctx.batch));
+    // `in_flight` lives *outside* the unwind boundary so a panic while
+    // scoring cannot lose records: it holds exactly the records popped
+    // for the batch being scored, and is empty between batches.
+    let in_flight: RefCell<Vec<Job>> = RefCell::new(Vec::with_capacity(ctx.max_batch));
     // Scoring buffers also live outside the unwind boundary: a restart
     // keeps the warmed capacity (every flush overwrites them whole, so
     // no stale state can leak across a panic).
@@ -151,23 +157,22 @@ pub(crate) fn run(ctx: WorkerContext) {
         }),
     });
     loop {
-        match catch_unwind(AssertUnwindSafe(|| {
-            batch_loop(&ctx, &batcher, &in_flight, &buffers)
-        })) {
+        match catch_unwind(AssertUnwindSafe(|| batch_loop(&ctx, &in_flight, &buffers))) {
             Ok(()) => return, // queue closed and fully drained
             Err(payload) => {
                 let message = panic_message(payload.as_ref());
-                if let Some(batch) = in_flight.borrow_mut().take() {
+                let batch = std::mem::take(&mut *in_flight.borrow_mut());
+                if !batch.is_empty() {
                     ctx.quarantine(batch, &format!("worker panic: {message}"));
                 }
                 let restarts = ctx.supervision.record_shard_panic(ctx.shard, &message);
                 ctx.metrics.restarts.inc();
                 if restarts > ctx.max_restarts {
-                    fail_shard(&ctx, &batcher);
+                    fail_shard(&ctx);
                     return;
                 }
                 // Respawn: next iteration re-enters the batch loop on
-                // the same queue with the surviving batcher state.
+                // the same queue.
             }
         }
     }
@@ -176,78 +181,43 @@ pub(crate) fn run(ctx: WorkerContext) {
 /// Permanent failure past the restart limit: stop ingestion and
 /// quarantine everything still held, so the accounting identity
 /// `pushed = scored + quarantined + dropped` holds even here.
-fn fail_shard(ctx: &WorkerContext, batcher: &RefCell<MicroBatcher<Job>>) {
+fn fail_shard(ctx: &WorkerContext) {
     ctx.queue.close();
-    let mut remnant = batcher.borrow_mut().take();
-    while let Some(job) = ctx.queue.pop() {
-        remnant.push(job);
-    }
+    let mut remnant = Vec::new();
+    while ctx.queue.pop_batch(usize::MAX, &mut remnant) {}
     if !remnant.is_empty() {
         ctx.quarantine(remnant, "shard failed: restart limit exceeded");
     }
 }
 
-/// The batch-scoring loop (the unwind-protected region).
-fn batch_loop(
-    ctx: &WorkerContext,
-    batcher: &RefCell<MicroBatcher<Job>>,
-    in_flight: &RefCell<Option<Vec<Job>>>,
-    buffers: &RefCell<ScoreBuffers>,
-) {
-    loop {
-        let deadline = batcher.borrow().deadline();
-        let next = match deadline {
-            Some(deadline) => ctx.queue.pop_deadline(deadline),
-            None => match ctx.queue.pop() {
-                Some(job) => PopResult::Item(job),
-                None => PopResult::Closed,
-            },
-        };
-        match next {
-            PopResult::Item(job) => {
-                let full = batcher.borrow_mut().push(job, Instant::now());
-                if let Some(batch) = full {
-                    flush(ctx, in_flight, buffers, batch, false);
-                }
-            }
-            PopResult::TimedOut => {
-                let due = batcher.borrow_mut().flush_due(Instant::now());
-                if let Some(batch) = due {
-                    flush(ctx, in_flight, buffers, batch, true);
-                }
-            }
-            PopResult::Closed => {
-                let rest = batcher.borrow_mut().take();
-                if !rest.is_empty() {
-                    flush(ctx, in_flight, buffers, rest, false);
-                }
-                return;
-            }
-        }
+/// The batch-scoring loop (the unwind-protected region): drain
+/// whatever is queued straight into `in_flight`, score it, repeat.
+fn batch_loop(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefCell<ScoreBuffers>) {
+    while ctx
+        .queue
+        .pop_batch(ctx.max_batch, &mut in_flight.borrow_mut())
+    {
+        flush(ctx, in_flight, buffers);
     }
 }
 
-/// Scores one micro-batch with a single batched forward pass and fans
-/// the results out to the prediction channel and (labelled records
-/// only) the trainer queue. Non-finite records are quarantined before
-/// scoring; the scorable remainder is parked in `in_flight` so the
-/// supervisor can quarantine it if the forward pass panics.
-fn flush(
-    ctx: &WorkerContext,
-    in_flight: &RefCell<Option<Vec<Job>>>,
-    buffers: &RefCell<ScoreBuffers>,
-    batch: Vec<Job>,
-    deadline_triggered: bool,
-) {
-    let (scorable, poisoned): (Vec<Job>, Vec<Job>) =
-        batch.into_iter().partition(|job| is_scorable(&job.record));
+/// Scores the batch parked in `in_flight` with a single batched
+/// forward pass and fans the results out to the prediction channel and
+/// (labelled records only) the trainer queue. Non-finite records are
+/// quarantined before scoring; the scorable remainder stays parked in
+/// `in_flight` so the supervisor can quarantine it if the forward pass
+/// panics.
+fn flush(ctx: &WorkerContext, in_flight: &RefCell<Vec<Job>>, buffers: &RefCell<ScoreBuffers>) {
+    let poisoned: Vec<Job> = in_flight
+        .borrow_mut()
+        .extract_if(.., |job| !is_scorable(&job.record))
+        .collect();
     if !poisoned.is_empty() {
         ctx.quarantine(poisoned, "non-finite input record");
     }
-    if scorable.is_empty() {
+    if in_flight.borrow().is_empty() {
         return;
     }
-    *in_flight.borrow_mut() = Some(scorable);
 
     let snapshot = ctx.model.current();
     let infer_start = Instant::now();
@@ -255,9 +225,7 @@ fn flush(
         ServedModel::Frame(detector) => {
             // lint:no_alloc
             {
-                let guard = in_flight.borrow();
-                // lint:allow(panic, reason = "invariant: the batch was parked into in_flight two statements ago and nothing can take it in between")
-                let batch = guard.as_deref().expect("in-flight batch just parked");
+                let batch = in_flight.borrow();
                 if ctx.panic_on_trigger && batch.iter().any(|j| is_worker_panic_trigger(&j.record))
                 {
                     // lint:allow(panic, reason = "fault injection: this panic IS the feature under test; it exercises the supervisor's restart path")
@@ -287,32 +255,24 @@ fn flush(
                 // table — a frame-mode runtime was handed a temporal
                 // publish. Quarantining keeps the accounting identity
                 // exact rather than scoring with fabricated state.
-                if let Some(batch) = in_flight.borrow_mut().take() {
-                    ctx.quarantine(batch, "temporal snapshot on a runtime without sensor state");
-                }
+                let batch = std::mem::take(&mut *in_flight.borrow_mut());
+                ctx.quarantine(batch, "temporal snapshot on a runtime without sensor state");
                 return;
             }
         }
     }
     // The forward pass succeeded: the batch is no longer at risk.
-    let batch = in_flight
-        .borrow_mut()
-        .take()
-        // lint:allow(panic, reason = "invariant: the batch was parked into in_flight above and the forward pass cannot consume it")
-        .expect("in-flight batch still parked");
+    let mut batch = std::mem::take(&mut *in_flight.borrow_mut());
 
     ctx.metrics
         .inference_ns
         .record(infer_start.elapsed().as_nanos() as u64);
     ctx.metrics.batches.inc();
     ctx.metrics.batch_size.record(batch.len() as u64);
-    if deadline_triggered {
-        ctx.metrics.deadline_flushes.inc();
-    }
 
     let scored_at = Instant::now();
     let buffers = buffers.borrow();
-    for (job, &proba) in batch.into_iter().zip(&buffers.probas) {
+    for (job, &proba) in batch.drain(..).zip(&buffers.probas) {
         let latency = scored_at.duration_since(job.enqueued_at);
         ctx.metrics.records.inc();
         ctx.metrics.latency_ns.record(latency.as_nanos() as u64);
@@ -338,6 +298,8 @@ fn flush(
             latency,
         });
     }
+    // Hand the emptied vector back so the next drain reuses its capacity.
+    *in_flight.borrow_mut() = batch;
 }
 
 /// Stateful sequence scoring of one micro-batch: records are grouped
@@ -362,15 +324,13 @@ fn score_temporal(
     ctx: &WorkerContext,
     temporal: &TemporalDetector,
     version: u64,
-    in_flight: &RefCell<Option<Vec<Job>>>,
+    in_flight: &RefCell<Vec<Job>>,
     buffers: &RefCell<ScoreBuffers>,
 ) -> bool {
     let Some(table) = &ctx.states else {
         return false;
     };
-    let guard = in_flight.borrow();
-    // lint:allow(panic, reason = "invariant: the batch was parked into in_flight by the caller immediately before this call")
-    let batch = guard.as_deref().expect("in-flight batch just parked");
+    let batch = in_flight.borrow();
     let ScoreBuffers {
         probas,
         temporal: bufs,

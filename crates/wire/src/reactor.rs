@@ -833,7 +833,7 @@ fn pump_write(conn: &mut Conn, ctx: &ReactorCtx) -> bool {
                 None => match &conn.outbound {
                     Some(queue) if !conn.outbound_done => match queue.try_pop() {
                         PopResult::Item(frame) => frame,
-                        PopResult::TimedOut => break,
+                        PopResult::Empty => break,
                         PopResult::Closed => {
                             conn.outbound_done = true;
                             break;

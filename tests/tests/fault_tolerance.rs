@@ -8,11 +8,10 @@ use occusense_core::persist;
 use occusense_core::sim::{FaultKind, FaultPlan, OfficeSimulator, ScenarioConfig};
 use occusense_core::CsiRecord;
 use occusense_serve::{
-    BackpressurePolicy, BatchConfig, CheckpointConfig, OnlineTrainingConfig, ServeConfig,
-    ServeRuntime, SubmitError,
+    BackpressurePolicy, CheckpointConfig, OnlineTrainingConfig, ServeConfig, ServeRuntime,
+    SubmitError,
 };
 use std::path::PathBuf;
-use std::time::Duration;
 
 fn quick_detector(seed: u64) -> OccupancyDetector {
     let train = occusense_core::sim::simulate(&ScenarioConfig::quick(1200.0, seed));
@@ -47,10 +46,7 @@ fn precise_config() -> ServeConfig {
         n_shards: 1,
         queue_capacity: 64,
         policy: BackpressurePolicy::Block,
-        batch: BatchConfig {
-            max_batch: 1,
-            max_delay: Duration::from_millis(5),
-        },
+        max_batch: 1,
         online: None,
         ..ServeConfig::default()
     };
@@ -139,6 +135,71 @@ fn worker_panic_restarts_shard_and_checkpoint_restores_bitwise() {
     let _ = std::fs::remove_dir_all(&ckpt_dir);
 }
 
+/// A worker scores whatever was queued as one batch, so a panic mid-
+/// batch must quarantine exactly the records that drain popped: one
+/// contiguous FIFO run holding the trigger — no neighbour lost with it,
+/// none scored twice, none left unresolved.
+#[test]
+fn panic_mid_batch_quarantines_exactly_the_popped_batch() {
+    const PANIC_AT: usize = 120;
+    const MAX_BATCH: usize = 16;
+    let detector = quick_detector(23);
+    let config = ServeConfig {
+        max_batch: MAX_BATCH,
+        queue_capacity: 256,
+        ..precise_config()
+    };
+    let records = trace(300.0, 904);
+    assert!(records.len() > PANIC_AT + MAX_BATCH);
+    let plan = FaultPlan::new().with(FaultKind::WorkerPanic, PANIC_AT, 1);
+    let (runtime, predictions) = ServeRuntime::start(detector.clone(), config).expect("start");
+    let mut client = runtime.client("burst-sensor");
+    for (i, record) in records.iter().enumerate() {
+        let faulted = plan.apply(i, *record).expect("plan has no dropouts");
+        client.submit(faulted).expect("Block policy accepts all");
+    }
+    let report = runtime.shutdown();
+
+    assert_eq!(report.faults.shard_restarts, vec![1]);
+    assert_eq!(report.faults.uncontained_panics, 0);
+    let mut lost: Vec<u64> = report.faults.dead_letters.iter().map(|l| l.seq).collect();
+    assert_eq!(lost.len() as u64, report.faults.poisoned_records);
+    assert!(report
+        .faults
+        .dead_letters
+        .iter()
+        .all(|l| l.reason.contains("worker panic")));
+    lost.sort_unstable();
+    let first = lost[0];
+    assert_eq!(
+        lost,
+        (first..first + lost.len() as u64).collect::<Vec<_>>(),
+        "the quarantine is not one contiguous popped batch"
+    );
+    assert!(lost.contains(&(PANIC_AT as u64)));
+    assert!(lost.len() <= MAX_BATCH, "quarantined more than one drain");
+    assert_eq!(
+        report.records_served + lost.len() as u64,
+        records.len() as u64
+    );
+    assert_eq!(report.unaccounted_records(), 0);
+
+    // Every record outside the popped batch is scored once, in order,
+    // bitwise as offline.
+    let served: Vec<u64> = predictions
+        .into_iter()
+        .map(|p| {
+            let (_, proba) = detector.predict_record(&records[p.seq as usize]);
+            assert_eq!(p.proba.to_bits(), proba.to_bits());
+            p.seq
+        })
+        .collect();
+    let expected: Vec<u64> = (0..records.len() as u64)
+        .filter(|seq| !lost.contains(seq))
+        .collect();
+    assert_eq!(served, expected);
+}
+
 #[test]
 fn non_finite_and_dropped_records_stay_accounted() {
     const NAN_START: usize = 10;
@@ -191,7 +252,6 @@ fn trainer_panic_falls_back_to_last_snapshot_without_losing_serving() {
         n_shards: 1,
         queue_capacity: 128,
         policy: BackpressurePolicy::Block,
-        batch: BatchConfig::default(),
         online: Some(OnlineTrainingConfig {
             publish_every_updates: 1,
             ..OnlineTrainingConfig::default()

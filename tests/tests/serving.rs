@@ -1,12 +1,11 @@
 //! Serving-runtime integration tests: backpressure accounting,
-//! micro-batch deadlines, deterministic routing, bitwise batched
+//! work-conserving batching, deterministic routing, bitwise batched
 //! inference and a fixed-seed end-to-end smoke run.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
 use occusense_core::sim::{simulate, OfficeSimulator, ScenarioConfig};
 use occusense_serve::{
-    shard_for, BackpressurePolicy, BatchConfig, BoundedQueue, OnlineTrainingConfig, ServeConfig,
-    ServeRuntime,
+    shard_for, BackpressurePolicy, BoundedQueue, OnlineTrainingConfig, ServeConfig, ServeRuntime,
 };
 use std::collections::HashMap;
 use std::sync::mpsc::RecvTimeoutError;
@@ -85,16 +84,15 @@ fn routing_is_deterministic_and_stable_across_runtimes() {
     rt_b.shutdown();
 }
 
+/// Workers never wait for a batch to fill: with a batch cap far above
+/// what arrives, a lone sensor's few records are still scored at once.
 #[test]
-fn deadline_flushes_partial_batches() {
+fn lone_records_are_scored_without_a_fill_wait() {
     let (runtime, predictions) = ServeRuntime::start(
         quick_detector(12),
         ServeConfig {
             n_shards: 1,
-            batch: BatchConfig {
-                max_batch: 1_000, // unreachable: only the deadline can flush
-                max_delay: Duration::from_millis(10),
-            },
+            max_batch: 1_000, // never reached by 3 records
             online: None,
             ..ServeConfig::default()
         },
@@ -108,11 +106,10 @@ fn deadline_flushes_partial_batches() {
     for _ in 0..3 {
         predictions
             .recv_timeout(Duration::from_secs(5))
-            .expect("deadline flush never delivered the partial batch");
+            .expect("a lone record waited for a batch that never filled");
     }
     let report = runtime.shutdown();
     assert_eq!(report.records_served, 3);
-    assert!(report.metrics_text.contains("serve.deadline_flushes"));
 }
 
 #[test]
@@ -150,6 +147,7 @@ fn batched_inference_is_bitwise_identical_to_per_record() {
         h.join().unwrap();
     }
 
+    let batch_size = runtime.metrics().histogram("serve.batch_size");
     let total: usize = submitted.values().map(Vec::len).sum();
     let mut checked = 0;
     while checked < total {
@@ -167,6 +165,22 @@ fn batched_inference_is_bitwise_identical_to_per_record() {
     let report = runtime.shutdown();
     assert_eq!(report.records_served, total as u64);
     assert!(report.shard_queues.iter().all(|q| q.dropped == 0));
+    // The scores above only test batching if batches actually mixed
+    // records. A worker drains whatever is queued, so once any queue
+    // held two records at once, some batch scored two or more. (How
+    // deep the queues got depends on thread timing; the deterministic
+    // composition checks live in the kernel tests and in the runtime's
+    // `temporal_serving_matches_solo_streams_bitwise`.)
+    let deepest = report
+        .shard_queues
+        .iter()
+        .map(|q| q.high_watermark)
+        .max()
+        .unwrap_or(0);
+    assert!(
+        deepest < 2 || batch_size.max() >= 2,
+        "queue depth reached {deepest} but no batch held more than one record"
+    );
     assert!(matches!(
         predictions.recv_timeout(Duration::from_millis(100)),
         Err(RecvTimeoutError::Disconnected)
@@ -182,7 +196,6 @@ fn end_to_end_smoke_with_online_training() {
             n_shards: 2,
             queue_capacity: 128,
             policy: BackpressurePolicy::Block,
-            batch: BatchConfig::default(),
             online: Some(OnlineTrainingConfig::default()),
             ..ServeConfig::default()
         },

@@ -6,7 +6,7 @@
 //! that crosses it is accounted for in `ServeReport`.
 
 use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
-use occusense_serve::{BackpressurePolicy, BatchConfig, ServeConfig};
+use occusense_serve::{BackpressurePolicy, ServeConfig};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
     connect, loopback, tcp_connect, tcp_listen, ClientEvent, Gateway, GatewayConfig,
@@ -29,12 +29,12 @@ fn quick_detector() -> OccupancyDetector {
 
 /// Pinned-model gateway config: online training disabled so wire
 /// predictions can be compared bitwise against a local clone.
-fn pinned(policy: BackpressurePolicy, capacity: usize, batch: BatchConfig) -> ServeConfig {
+fn pinned(policy: BackpressurePolicy, capacity: usize, max_batch: usize) -> ServeConfig {
     ServeConfig {
         online: None,
         policy,
         queue_capacity: capacity,
-        batch,
+        max_batch,
         ..ServeConfig::default()
     }
 }
@@ -64,7 +64,7 @@ fn loopback_soak_is_bitwise_identical_to_direct_scoring() {
     let (acceptor, connector) = loopback(LoopbackConfig::default());
     let gateway = Gateway::start(
         detector,
-        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        pinned(BackpressurePolicy::Block, 1024, 32),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -129,20 +129,13 @@ fn reject_newest_surfaces_as_nacks_and_stays_accounted() {
     const RECORDS: usize = 300;
     let detector = quick_detector();
     let (acceptor, connector) = loopback(LoopbackConfig::default());
-    // Capacity-1 ingress under RejectNewest, with a slow micro-batch
-    // deadline so the queue drains far slower than the loopback
-    // delivers: rejections are essentially guaranteed, and every one
-    // must come back as a QueueFull NACK carrying the refused seq.
+    // Capacity-1 ingress under RejectNewest with 1-record batches, so
+    // the queue drains one record per forward pass while the loopback
+    // delivers a whole burst: any rejection must come back as a
+    // QueueFull NACK carrying the refused seq.
     let gateway = Gateway::start(
         detector,
-        pinned(
-            BackpressurePolicy::RejectNewest,
-            1,
-            BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(2),
-            },
-        ),
+        pinned(BackpressurePolicy::RejectNewest, 1, 1),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -206,7 +199,7 @@ fn tcp_gateway_round_trips_bitwise_over_localhost() {
     let (acceptor, addr) = tcp_listen("127.0.0.1:0", TcpConfig::default()).expect("listen");
     let gateway = Gateway::start(
         detector,
-        pinned(BackpressurePolicy::Block, 1024, BatchConfig::default()),
+        pinned(BackpressurePolicy::Block, 1024, 32),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             ..GatewayConfig::default()
@@ -253,14 +246,7 @@ fn slow_client_soak_resolves_every_seq_exactly_once() {
     let (acceptor, connector) = loopback(LoopbackConfig::default());
     let gateway = Gateway::start(
         detector,
-        pinned(
-            BackpressurePolicy::RejectNewest,
-            1,
-            BatchConfig {
-                max_batch: 1,
-                max_delay: Duration::from_millis(1),
-            },
-        ),
+        pinned(BackpressurePolicy::RejectNewest, 1, 1),
         GatewayConfig {
             outbound_policy: BackpressurePolicy::Block,
             outbound_capacity: 4,
