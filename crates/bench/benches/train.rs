@@ -1,15 +1,14 @@
 //! Training-pipeline benchmarks for the persistent compute pool
 //! (DESIGN.md §12): a full GRU-training epoch (truncated BPTT through
-//! [`TemporalDetector::train_with`]) under pooled, per-call-spawn and
-//! single-threaded kernels, the MLP trainer's prefetched epoch under
-//! the same three policies, and the fused AdamW step on its own.
+//! [`TemporalDetector::train_with`]) under pooled and single-threaded
+//! kernels, the MLP trainer's prefetched epoch under the same two
+//! policies, and the fused AdamW step on its own.
 //!
-//! The pooled/spawn pair is the headline: `Parallelism::Threads`
-//! dispatches row blocks to long-lived workers parked on condvars,
-//! `Parallelism::SpawnThreads` is the legacy path that created and
-//! joined OS threads on every kernel call. Both produce bitwise
-//! identical weights (asserted below before anything is timed), so the
-//! entire difference is dispatch overhead.
+//! `Parallelism::Threads` dispatches row blocks to long-lived workers
+//! parked on condvars; `Parallelism::Single` is the default and the
+//! bitwise oracle. Both produce bitwise identical weights (asserted
+//! below before anything is timed), so the entire difference is
+//! dispatch overhead against parallel speedup.
 //!
 //! With `OCCUSENSE_BENCH_JSON=BENCH_train.json cargo bench --bench
 //! train` a measurement run writes the committed baseline; the
@@ -27,16 +26,12 @@ use occusense_core::{
 };
 use std::hint::black_box;
 
-/// The three kernel policies under test, in reporting order. Four-way
-/// parallelism matches the serve runtime's default worker budget. On a
-/// machine with at least four cores the pooled-vs-spawn delta is pure
-/// dispatch overhead (condvar wakeup vs thread creation); on smaller
-/// runners it also measures the pool's core-count clamp — the pool
-/// never oversubscribes, while the legacy spawn path blindly creates
-/// threads per call. Both effects are the pool's contract.
-const POLICIES: [(&str, Parallelism); 3] = [
+/// The kernel policies under test, in reporting order. Four-way
+/// parallelism matches the serve runtime's default worker budget; on
+/// smaller runners the pool clamps itself to the core count, so the
+/// pooled row there also measures that clamp.
+const POLICIES: [(&str, Parallelism); 2] = [
     ("pooled_t4", Parallelism::Threads(4)),
-    ("spawn_t4", Parallelism::SpawnThreads(4)),
     ("single", Parallelism::Single),
 ];
 
@@ -67,7 +62,7 @@ fn bench_gru_epoch(c: &mut Criterion) {
     let ds = temporal_dataset();
     let cfg = temporal_config();
 
-    // Determinism guard before anything is timed: all three policies
+    // Determinism guard before anything is timed: every policy
     // must train the exact same model bit for bit.
     let reference = TemporalDetector::train(&ds, &cfg);
     assert!(reference.is_finite(), "reference GRU training diverged");
@@ -77,7 +72,7 @@ fn bench_gru_epoch(c: &mut Criterion) {
         assert_eq!(
             det.gru().w_z.as_slice(),
             reference.gru().w_z.as_slice(),
-            "{name}: pooled/spawn GRU weights drifted from single-threaded"
+            "{name}: GRU weights drifted from single-threaded"
         );
         assert_eq!(
             det.head().layers()[0].weights.as_slice(),

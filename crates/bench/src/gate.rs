@@ -154,15 +154,6 @@ pub fn compare(baseline: &[BenchResult], current: &[BenchResult], tolerance: f64
     failures
 }
 
-/// Throughput ratio `slow/fast` between two named benchmarks (how many
-/// times more iterations per second `fast` sustains), when both exist
-/// with usable medians.
-pub fn speedup(results: &[BenchResult], fast: &str, slow: &str) -> Option<f64> {
-    let f = find(results, fast)?.ns_per_iter;
-    let s = find(results, slow)?.ns_per_iter;
-    (f.is_finite() && f > 0.0 && s.is_finite()).then_some(s / f)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -230,12 +221,5 @@ mod tests {
         let failures = compare(&results(&[("gone", 10.0)]), &results(&[("new", 10.0)]), 0.2);
         assert_eq!(failures.len(), 1, "{failures:?}");
         assert!(failures[0].contains("missing"), "{failures:?}");
-    }
-
-    #[test]
-    fn speedup_is_slow_over_fast() {
-        let r = results(&[("fast", 100.0), ("slow", 450.0)]);
-        assert_eq!(speedup(&r, "fast", "slow"), Some(4.5));
-        assert_eq!(speedup(&r, "fast", "absent"), None);
     }
 }

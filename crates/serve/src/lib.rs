@@ -83,7 +83,7 @@ pub use report::{ReportParseError, REPORT_WIRE_VERSION};
 pub use routing::{shard_for, try_shard_for, ZeroShardsError};
 pub use runtime::{
     wire_stats, OnlineTrainingConfig, SensorClient, ServeConfig, ServeError, ServeReport,
-    ServeRuntime, SubmitError, WireCounters,
+    ServeRuntime, SubmitError, WireCounters, WireStats,
 };
 pub use state::{SensorState, StateTable};
 pub use supervisor::{CheckpointConfig, DeadLetter, FaultReport, SupervisorConfig};

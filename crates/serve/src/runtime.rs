@@ -5,7 +5,7 @@
 //! and a fault-tolerance layer (supervised restarts, dead-letter
 //! quarantine, crash-safe checkpoints) around all of it.
 
-use crate::metrics::MetricsRegistry;
+use crate::metrics::{Counter, MetricsRegistry};
 use crate::model::{ModelHandle, ServedModel};
 use crate::queue::{BackpressurePolicy, BoundedQueue, PushError, QueueCounters};
 use crate::routing::shard_for;
@@ -225,11 +225,12 @@ impl SensorClient {
 }
 
 /// Metric names the `occusense-wire` gateway increments on the shared
-/// [`MetricsRegistry`]; [`ServeRuntime::shutdown`] mirrors them into
-/// [`ServeReport::wire`] and the transport fields of
-/// [`FaultReport`], which is how transport-level losses enter the
-/// accounting identity without `occusense-serve` depending on the
-/// (higher-layer) wire crate.
+/// [`MetricsRegistry`], through the [`WireStats`] handles the runtime
+/// registers once; [`ServeRuntime::shutdown`] snapshots them into
+/// [`ServeReport::wire`] and the transport fields of [`FaultReport`],
+/// which is how transport-level losses enter the accounting identity
+/// without `occusense-serve` depending on the (higher-layer) wire
+/// crate.
 pub mod wire_stats {
     /// Connections the gateway accepted (post-handshake).
     pub const CONNECTIONS: &str = "wire.connections";
@@ -267,6 +268,85 @@ pub mod wire_stats {
     /// the thread is gone either way — but a non-zero count means some
     /// traffic window went unserved.
     pub const THREAD_PANICS: &str = "wire.thread_panics";
+}
+
+/// Typed handles to the [`wire_stats`] counters, registered once per
+/// runtime. The gateway increments them through
+/// [`ServeRuntime::wire_stats`]; [`ServeRuntime::shutdown`] reads them
+/// back with [`snapshot`](Self::snapshot). No name is looked up twice,
+/// so a misspelt name cannot split one counter into two.
+#[derive(Debug, Clone)]
+pub struct WireStats {
+    /// [`wire_stats::CONNECTIONS`].
+    pub connections: Arc<Counter>,
+    /// [`wire_stats::FRAMES_RECEIVED`].
+    pub frames_received: Arc<Counter>,
+    /// [`wire_stats::RECORDS_DECODED`].
+    pub records_decoded: Arc<Counter>,
+    /// [`wire_stats::RECORDS_INGESTED`].
+    pub records_ingested: Arc<Counter>,
+    /// [`wire_stats::RECORDS_REJECTED`].
+    pub records_rejected: Arc<Counter>,
+    /// [`wire_stats::RECORDS_SHED`].
+    pub records_shed: Arc<Counter>,
+    /// [`wire_stats::MALFORMED_FRAMES`].
+    pub malformed_frames: Arc<Counter>,
+    /// [`wire_stats::PREDICTIONS_ROUTED`].
+    pub predictions_routed: Arc<Counter>,
+    /// [`wire_stats::PREDICTIONS_SENT`].
+    pub predictions_sent: Arc<Counter>,
+    /// [`wire_stats::PREDICTIONS_UNROUTED`].
+    pub predictions_unrouted: Arc<Counter>,
+    /// [`wire_stats::TRANSPORT_TIMEOUTS`].
+    pub transport_timeouts: Arc<Counter>,
+    /// [`wire_stats::CONNECTION_PANICS`].
+    pub connection_panics: Arc<Counter>,
+    /// [`wire_stats::LOCK_RECOVERIES`].
+    pub lock_recoveries: Arc<Counter>,
+    /// [`wire_stats::THREAD_PANICS`].
+    pub thread_panics: Arc<Counter>,
+}
+
+impl WireStats {
+    /// Registers every [`wire_stats`] counter on `metrics` (or finds
+    /// the ones already there).
+    pub fn register(metrics: &MetricsRegistry) -> Self {
+        Self {
+            connections: metrics.counter(wire_stats::CONNECTIONS),
+            frames_received: metrics.counter(wire_stats::FRAMES_RECEIVED),
+            records_decoded: metrics.counter(wire_stats::RECORDS_DECODED),
+            records_ingested: metrics.counter(wire_stats::RECORDS_INGESTED),
+            records_rejected: metrics.counter(wire_stats::RECORDS_REJECTED),
+            records_shed: metrics.counter(wire_stats::RECORDS_SHED),
+            malformed_frames: metrics.counter(wire_stats::MALFORMED_FRAMES),
+            predictions_routed: metrics.counter(wire_stats::PREDICTIONS_ROUTED),
+            predictions_sent: metrics.counter(wire_stats::PREDICTIONS_SENT),
+            predictions_unrouted: metrics.counter(wire_stats::PREDICTIONS_UNROUTED),
+            transport_timeouts: metrics.counter(wire_stats::TRANSPORT_TIMEOUTS),
+            connection_panics: metrics.counter(wire_stats::CONNECTION_PANICS),
+            lock_recoveries: metrics.counter(wire_stats::LOCK_RECOVERIES),
+            thread_panics: metrics.counter(wire_stats::THREAD_PANICS),
+        }
+    }
+
+    /// The current values as a [`WireCounters`] report section.
+    pub fn snapshot(&self) -> WireCounters {
+        WireCounters {
+            connections: self.connections.get(),
+            frames_received: self.frames_received.get(),
+            records_decoded: self.records_decoded.get(),
+            records_ingested: self.records_ingested.get(),
+            records_rejected: self.records_rejected.get(),
+            records_shed: self.records_shed.get(),
+            malformed_frames: self.malformed_frames.get(),
+            predictions_routed: self.predictions_routed.get(),
+            predictions_sent: self.predictions_sent.get(),
+            predictions_unrouted: self.predictions_unrouted.get(),
+            connection_panics: self.connection_panics.get(),
+            lock_recoveries: self.lock_recoveries.get(),
+            thread_panics: self.thread_panics.get(),
+        }
+    }
 }
 
 /// Transport-boundary counters of one run, all zero unless an
@@ -484,6 +564,7 @@ pub struct ServeRuntime {
     model: Arc<ModelHandle>,
     states: Option<Arc<StateTable>>,
     metrics: Arc<MetricsRegistry>,
+    wire: WireStats,
     supervision: Arc<SupervisorState>,
     checkpoint: Option<CheckpointConfig>,
     tenant: String,
@@ -649,6 +730,7 @@ impl ServeRuntime {
                 trainer,
                 model,
                 states,
+                wire: WireStats::register(&metrics),
                 metrics,
                 supervision,
                 checkpoint: config.checkpoint,
@@ -677,6 +759,11 @@ impl ServeRuntime {
     /// The live metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
+    }
+
+    /// The [`wire_stats`] counter handles a wire gateway increments.
+    pub fn wire_stats(&self) -> &WireStats {
+        &self.wire
     }
 
     /// The tenant label this runtime was configured with
@@ -805,6 +892,7 @@ impl ServeRuntime {
     pub fn shutdown(mut self) -> ServeReport {
         self.stop_threads();
         let elapsed = self.started_at.elapsed();
+        let wire = self.wire.snapshot();
         let latency = self.metrics.histogram("serve.latency_ns");
         let records_served = self.metrics.counter("serve.records").get();
         let uncontained = self
@@ -828,24 +916,9 @@ impl ServeRuntime {
             uncontained_panics: uncontained.len() as u64,
             checkpoints_written: self.metrics.counter("serve.checkpoints").get(),
             checkpoint_failures: self.metrics.counter("serve.checkpoint_failures").get(),
-            transport_rejections: self.metrics.counter(wire_stats::RECORDS_REJECTED).get(),
-            transport_timeouts: self.metrics.counter(wire_stats::TRANSPORT_TIMEOUTS).get(),
-            connection_panics: self.metrics.counter(wire_stats::CONNECTION_PANICS).get(),
-        };
-        let wire = WireCounters {
-            connections: self.metrics.counter(wire_stats::CONNECTIONS).get(),
-            frames_received: self.metrics.counter(wire_stats::FRAMES_RECEIVED).get(),
-            records_decoded: self.metrics.counter(wire_stats::RECORDS_DECODED).get(),
-            records_ingested: self.metrics.counter(wire_stats::RECORDS_INGESTED).get(),
-            records_rejected: self.metrics.counter(wire_stats::RECORDS_REJECTED).get(),
-            records_shed: self.metrics.counter(wire_stats::RECORDS_SHED).get(),
-            malformed_frames: self.metrics.counter(wire_stats::MALFORMED_FRAMES).get(),
-            predictions_routed: self.metrics.counter(wire_stats::PREDICTIONS_ROUTED).get(),
-            predictions_sent: self.metrics.counter(wire_stats::PREDICTIONS_SENT).get(),
-            predictions_unrouted: self.metrics.counter(wire_stats::PREDICTIONS_UNROUTED).get(),
-            connection_panics: self.metrics.counter(wire_stats::CONNECTION_PANICS).get(),
-            lock_recoveries: self.metrics.counter(wire_stats::LOCK_RECOVERIES).get(),
-            thread_panics: self.metrics.counter(wire_stats::THREAD_PANICS).get(),
+            transport_rejections: wire.records_rejected,
+            transport_timeouts: self.wire.transport_timeouts.get(),
+            connection_panics: wire.connection_panics,
         };
         ServeReport {
             tenant: self.tenant.clone(),

@@ -1,15 +1,12 @@
 //! Persistent deterministic compute pool — the threading engine behind
 //! the parallel GEMM kernels.
 //!
-//! The original parallel kernels spawned and joined fresh scoped OS
-//! threads on *every* call (`thread::scope` inside the row-block
-//! splitters). That is correct and simple, but the spawn+join cost
-//! (~tens of microseconds per call) dominates exactly where training
-//! spends its time: the GRU's many small packed-gate GEMMs per
-//! timestep, each barely above the parallelism threshold. This module
-//! replaces spawn-per-call with a pool of long-lived workers parked on
-//! a condvar behind a bounded spin, woken by an atomic epoch bump —
-//! a dispatch costs a few microseconds instead of a few dozen.
+//! Spawning and joining fresh OS threads on every kernel call costs
+//! tens of microseconds, which dominates exactly where training spends
+//! its time: the GRU's many small packed-gate GEMMs per timestep, each
+//! barely above the parallelism threshold. This module keeps a pool of
+//! long-lived workers parked on a condvar behind a bounded spin, woken
+//! by an atomic epoch bump — a dispatch costs a few microseconds.
 //!
 //! # Architecture
 //!
@@ -17,10 +14,10 @@
 //!   created on the first parallel dispatch and sized to
 //!   `Parallelism::Threads(n) ⇒ min(n, cores) − 1` workers (the caller
 //!   is the last thread). The clamp to the probed machine core count
-//!   ([`machine_cores`]) is what a persistent pool buys over
-//!   spawn-per-call: it never oversubscribes, because spinning workers
-//!   on a smaller machine would time-slice against the caller. On a
-//!   single core the pooled policy degrades to the inline kernel.
+//!   ([`machine_cores`]) means the pool never oversubscribes: spinning
+//!   workers on a smaller machine would time-slice against the caller.
+//!   On a single core the pooled policy degrades to the inline kernel,
+//!   and so does a pool the OS refuses to spawn.
 //!   Changing the policy drops the pool (workers join) and the next
 //!   dispatch respawns it — nothing is global, nothing leaks past the
 //!   owning scratch.
@@ -41,13 +38,11 @@
 //!   takes the control mutex (so the caller is either not yet waiting
 //!   or already parked — no lost wakeups) and signals completion.
 //! * **Determinism.** Row blocks are `n_rows.div_ceil(threads)` rounded
-//!   up to the packing panel height [`IT`] — the *exact* partition the
-//!   scoped-spawn path used, kept aligned to the panel boundaries of
-//!   `pack_panels` so every block starts on a whole packed panel. Each
-//!   block runs the same `rank1_tiles` walk on bit-identical inputs,
-//!   so pooled, spawned and inline outputs are **bitwise identical**
-//!   for every thread count. The spawn-per-call path survives as
-//!   [`Parallelism::SpawnThreads`] — the benchmark baseline and the
+//!   up to the packing panel height [`IT`], aligned to the panel
+//!   boundaries of `pack_panels` so every block starts on a whole
+//!   packed panel. Each block runs the same `rank1_tiles` walk on
+//!   bit-identical inputs, so pooled and inline outputs are **bitwise
+//!   identical** for every thread count. [`Parallelism::Single`] is the
 //!   determinism oracle the property tests compare against.
 //!
 //! [`IT`]: crate::kernels — the register-tile height (8 rows).
@@ -67,11 +62,9 @@ const SPIN_LIMIT: u32 = 1 << 14;
 /// clamps its thread budget to this (see
 /// [`Scratch`](crate::kernels::Scratch)): spinning workers on an
 /// oversubscribed machine time-slice against the caller, turning every
-/// dispatch into lost scheduler quanta — the persistent pool can
-/// afford to know the machine, where the legacy spawn-per-call path
-/// never could. The probe steers scheduling only: the kernels are
-/// bitwise identical for every thread count, so no score ever depends
-/// on the value read here.
+/// dispatch into lost scheduler quanta. The probe steers scheduling
+/// only: the kernels are bitwise identical for every thread count, so
+/// no score ever depends on the value read here.
 pub(crate) fn machine_cores() -> usize {
     static CORES: OnceLock<usize> = OnceLock::new();
     *CORES.get_or_init(|| {
@@ -114,7 +107,7 @@ struct JobDesc {
     n_rows: usize,
     /// Output row length (= rhs row stride).
     row_len: usize,
-    /// Rows per block — the scoped-spawn partition, aligned to [`IT`].
+    /// Rows per block, aligned to [`IT`] (see [`pooled_job`]).
     rows_per: usize,
     /// Number of non-empty row blocks (`≤ workers + 1`).
     n_blocks: usize,
@@ -199,8 +192,8 @@ impl std::fmt::Debug for ComputePool {
 
 impl ComputePool {
     /// Spawns a pool of `workers` parked worker threads. Returns `None`
-    /// if the OS refuses a thread (the caller falls back to the scoped
-    /// spawn path, which is the pre-pool status quo).
+    /// if the OS refuses a thread (the caller falls back to the inline
+    /// kernel over all rows).
     fn with_workers(workers: usize) -> Option<Self> {
         let shared = Arc::new(PoolShared {
             ctrl: Mutex::new(Ctrl {
@@ -231,8 +224,8 @@ impl ComputePool {
                 Ok(handle) => pool.handles.push(handle),
                 Err(_) => {
                     // Partial spawn: shut down what exists and report
-                    // failure — the dispatcher falls back to scoped
-                    // spawning, never to a half-sized pool.
+                    // failure — the dispatcher falls back to the inline
+                    // kernel, never to a half-sized pool.
                     pool.shutdown();
                     return None;
                 }
@@ -496,54 +489,47 @@ fn run_worker_block(shared: &PoolShared, index: usize, job: &JobDesc) {
     }
 }
 
-/// The scoped-spawn legacy splitter: one fresh thread per row block,
-/// joined before returning. Preserved as [`Parallelism::SpawnThreads`]
-/// — the pre-pool baseline the benches and the bitwise-identity
-/// property tests compare the pool against.
-fn spawn_row_blocks<F>(out: &mut [f64], row_len: usize, rows_per: usize, body: F)
-where
-    F: Fn(usize, &mut [f64]) + Sync,
-{
-    thread::scope(|s| {
-        for (t, chunk) in out.chunks_mut(rows_per * row_len).enumerate() {
-            let body = &body;
-            s.spawn(move || body(t * rows_per, chunk));
-        }
-    });
-}
-
-/// Two-output variant of [`spawn_row_blocks`] for the fused forward.
-fn spawn_row_blocks2<F>(z: &mut [f64], a: &mut [f64], row_len: usize, rows_per: usize, body: F)
-where
-    F: Fn(usize, &mut [f64], &mut [f64]) + Sync,
-{
-    thread::scope(|s| {
-        for (t, (zc, ac)) in z
-            .chunks_mut(rows_per * row_len)
-            .zip(a.chunks_mut(rows_per * row_len))
-            .enumerate()
-        {
-            let body = &body;
-            s.spawn(move || body(t * rows_per, zc, ac));
-        }
-    });
-}
-
-/// The scoped-spawn partition: rows per block for `threads` blocks,
-/// rounded up to the packing panel height so block boundaries coincide
-/// with packed-panel boundaries. The pooled path uses the *same*
-/// arithmetic — this is the heart of the bitwise-identity argument.
-fn partition_rows(n_rows: usize, threads: usize) -> usize {
-    n_rows.div_ceil(threads).next_multiple_of(IT)
+/// The pool and the job for one dispatch, or `None` when it runs
+/// inline: the budgeted `threads` (capped at the row count) is at most
+/// 1, the output is empty, or the OS refuses the pool's threads. The
+/// row partition is
+/// `n_rows.div_ceil(threads)` rounded up to the packing panel height,
+/// so block boundaries coincide with packed-panel boundaries and every
+/// block runs the same `rank1_tiles` walk the inline kernel runs over
+/// those rows — the heart of the bitwise-identity argument.
+#[allow(clippy::too_many_arguments)]
+fn pooled_job(
+    pool: &mut Option<ComputePool>,
+    parallelism: Parallelism,
+    threads: usize,
+    cores: usize,
+    kind: JobKind,
+    steps: usize,
+    n_rows: usize,
+    row_len: usize,
+) -> Option<(&ComputePool, JobDesc)> {
+    let threads = threads.min(n_rows);
+    if threads <= 1 || row_len == 0 {
+        return None;
+    }
+    let pool = ComputePool::ensure(pool, pool_size(parallelism, cores))?;
+    let rows_per = n_rows.div_ceil(threads).next_multiple_of(IT);
+    let job = JobDesc {
+        kind,
+        steps,
+        n_rows,
+        row_len,
+        rows_per,
+        n_blocks: n_rows.div_ceil(rows_per),
+    };
+    Some((pool, job))
 }
 
 /// Runs a single-output row-block job (`out = packed · rhs`) on the
-/// path selected by `parallelism` and the budgeted `threads`:
-/// inline (`threads ≤ 1`), scoped spawn-per-call
-/// ([`Parallelism::SpawnThreads`] or a pool that failed to spawn), or
-/// the persistent pool, sized by the policy budget clamped to `cores`.
-/// All three are bitwise identical. Returns the pool-buffer growth
-/// events to be added to the scratch counter.
+/// persistent pool, sized by the policy budget clamped to `cores`, or
+/// inline over all rows when [`pooled_job`] declines. Both paths are
+/// bitwise identical. Returns the pool-buffer growth events to be
+/// added to the scratch counter.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_gemm(
     pool: &mut Option<ComputePool>,
@@ -557,44 +543,20 @@ pub(crate) fn run_gemm(
     rhs: &[f64],
     out: &mut [f64],
 ) -> u64 {
-    if n_rows == 0 || row_len == 0 {
-        return 0;
-    }
-    let threads = threads.min(n_rows);
-    if threads <= 1 {
-        gemm_rows(steps, row_len, 0, n_rows, packed, rhs, out);
-        return 0;
-    }
-    let rows_per = partition_rows(n_rows, threads);
-    let n_blocks = n_rows.div_ceil(rows_per);
-    let spawn = |out: &mut [f64]| {
-        spawn_row_blocks(out, row_len, rows_per, |first_row, chunk| {
-            let rows = chunk.len() / row_len;
-            gemm_rows(steps, row_len, first_row, rows, packed, rhs, chunk);
-        });
-    };
-    if matches!(parallelism, Parallelism::SpawnThreads(_)) {
-        spawn(out);
-        return 0;
-    }
-    match ComputePool::ensure(pool, pool_size(parallelism, cores)) {
-        Some(p) => p.run(
-            JobDesc {
-                kind: JobKind::Gemm,
-                steps,
-                n_rows,
-                row_len,
-                rows_per,
-                n_blocks,
-            },
-            packed,
-            rhs,
-            &[],
-            out,
-            None,
-        ),
+    let kind = JobKind::Gemm;
+    match pooled_job(
+        pool,
+        parallelism,
+        threads,
+        cores,
+        kind,
+        steps,
+        n_rows,
+        row_len,
+    ) {
+        Some((p, job)) => p.run(job, packed, rhs, &[], out, None),
         None => {
-            spawn(out);
+            gemm_rows(steps, row_len, 0, n_rows, packed, rhs, out);
             0
         }
     }
@@ -618,46 +580,20 @@ pub(crate) fn run_fused(
     z: &mut [f64],
     a: &mut [f64],
 ) -> u64 {
-    if n_rows == 0 || row_len == 0 {
-        return 0;
-    }
-    let threads = threads.min(n_rows);
-    if threads <= 1 {
-        fused_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
-        return 0;
-    }
-    let rows_per = partition_rows(n_rows, threads);
-    let n_blocks = n_rows.div_ceil(rows_per);
-    let spawn = |z: &mut [f64], a: &mut [f64]| {
-        spawn_row_blocks2(z, a, row_len, rows_per, |first_row, zc, ac| {
-            let rows = zc.len() / row_len;
-            fused_rows(
-                steps, row_len, first_row, rows, packed, rhs, bias, act, zc, ac,
-            );
-        });
-    };
-    if matches!(parallelism, Parallelism::SpawnThreads(_)) {
-        spawn(z, a);
-        return 0;
-    }
-    match ComputePool::ensure(pool, pool_size(parallelism, cores)) {
-        Some(p) => p.run(
-            JobDesc {
-                kind: JobKind::Fused { act },
-                steps,
-                n_rows,
-                row_len,
-                rows_per,
-                n_blocks,
-            },
-            packed,
-            rhs,
-            bias,
-            z,
-            Some(a),
-        ),
+    let kind = JobKind::Fused { act };
+    match pooled_job(
+        pool,
+        parallelism,
+        threads,
+        cores,
+        kind,
+        steps,
+        n_rows,
+        row_len,
+    ) {
+        Some((p, job)) => p.run(job, packed, rhs, bias, z, Some(a)),
         None => {
-            spawn(z, a);
+            fused_rows(steps, row_len, 0, n_rows, packed, rhs, bias, act, z, a);
             0
         }
     }
@@ -714,9 +650,7 @@ mod tests {
         for (m, k, n) in [(64, 32, 32), (65, 33, 47), (128, 66, 128), (40, 40, 41)] {
             let inline = run_gemm_with(Parallelism::Single, m, k, n);
             for t in 1..=8 {
-                let spawned = run_gemm_with(Parallelism::SpawnThreads(t), m, k, n);
                 let pooled = run_gemm_with(Parallelism::Threads(t), m, k, n);
-                assert_eq!(inline, spawned, "spawn {t} threads ({m},{k},{n})");
                 assert_eq!(inline, pooled, "pool {t} threads ({m},{k},{n})");
             }
         }
@@ -748,7 +682,6 @@ mod tests {
         };
         let inline = run(Parallelism::Single);
         for t in [2, 3, 5, 8] {
-            assert_eq!(inline, run(Parallelism::SpawnThreads(t)), "spawn {t}");
             assert_eq!(inline, run(Parallelism::Threads(t)), "pool {t}");
         }
     }
@@ -818,12 +751,6 @@ mod tests {
         // The clamp steers scheduling only — never the bits.
         assert_eq!(one_core, two_cores);
         assert_eq!(one_core, full);
-        // The legacy spawn baseline is never clamped: it reproduces
-        // the pre-pool behaviour bit for bit, workers or not.
-        let mut spawn = Scratch::with_parallelism(Parallelism::SpawnThreads(4));
-        spawn.set_machine_cores(1);
-        assert_eq!(one_core, run_in(&mut spawn));
-        assert_eq!(spawn.pool_workers(), None);
     }
 
     #[test]

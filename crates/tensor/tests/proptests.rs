@@ -199,19 +199,15 @@ proptest! {
         (a, b) in matmul_pair(),
         threads in 1usize..=8,
     ) {
-        // The persistent pool (Threads), the legacy spawn-per-call path
-        // (SpawnThreads) and the inline kernel must agree bit-for-bit
-        // on every shape and thread count — the pool's core contract.
+        // The persistent pool (Threads) and the inline kernel must
+        // agree bit-for-bit on every shape and thread count — the
+        // pool's core contract.
         let (m, k) = a.shape();
         let n = b.cols();
         let mut inline = vec![0.0; m * n];
         let mut scratch = Scratch::new();
         kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut inline, &mut scratch);
-        let mut spawned = vec![1.0; m * n]; // poisoned: every element must be written
-        let mut scratch = Scratch::with_parallelism(Parallelism::SpawnThreads(threads));
-        kernels::gemm(m, k, n, a.as_slice(), b.as_slice(), &mut spawned, &mut scratch);
-        prop_assert_eq!(&spawned, &inline, "spawn path changed bits at {} threads", threads);
-        let mut pooled = vec![1.0; m * n];
+        let mut pooled = vec![1.0; m * n]; // poisoned: every element must be written
         let mut scratch = Scratch::with_parallelism(Parallelism::Threads(threads));
         // Two rounds through the same pool: the second must reuse the
         // warm workers and still reproduce the first exactly.
@@ -244,8 +240,6 @@ proptest! {
             (z, a)
         };
         let inline = run(Parallelism::Single);
-        let spawned = run(Parallelism::SpawnThreads(threads));
-        prop_assert_eq!(&spawned, &inline, "fused spawn path changed bits at {} threads", threads);
         let pooled = run(Parallelism::Threads(threads));
         prop_assert_eq!(&pooled, &inline, "fused pool changed bits at {} threads", threads);
     }

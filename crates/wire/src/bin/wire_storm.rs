@@ -14,8 +14,17 @@
 //! `occusense_sim::fleet_stream` replay source, and every prediction
 //! that comes back over the wire must satisfy
 //! `proba.to_bits() == detector.predict_record(record).1.to_bits()`.
-//! Any mismatch, any unaccounted record, or any lost prediction exits
-//! non-zero — the same verdict discipline as `serve_sim --faults`.
+//! Every record must also be resolved exactly once: each seq in
+//! `0..sent` comes back as one prediction or one NACK, never both,
+//! never twice, and nothing comes back for a seq that was never sent.
+//! Any mismatch, any seq not resolved exactly once, or any unaccounted
+//! record exits non-zero — the same verdict discipline as
+//! `serve_sim --faults`.
+//!
+//! Every connection is driven non-blocking: a few driver threads
+//! (`--drivers`) sweep all sensors' `PollConn` faces with the same
+//! `FrameBuffer` parser the gateway's reactor uses, so a
+//! 10k-connection soak needs no per-sensor OS threads.
 //!
 //! `--temporal` boots the stateful GRU sequence runtime instead: each
 //! sensor's hidden state is carried between micro-batches on the
@@ -33,8 +42,8 @@ use occusense_dataset::CsiRecord;
 use occusense_serve::{BackpressurePolicy, ServeConfig, ServeReport};
 use occusense_sim::{fleet_stream, simulate, ScenarioConfig};
 use occusense_wire::{
-    connect, loopback, tcp_connect, tcp_listen, ClientEvent, Connection, Encoder, Frame,
-    FrameBuffer, Gateway, GatewayConfig, LoopbackConfig, LoopbackConnector, TcpConfig, WireError,
+    loopback, tcp_connect, tcp_listen, Connection, Encoder, Frame, FrameBuffer, Gateway,
+    GatewayConfig, LoopbackConfig, LoopbackConnector, TcpConfig, WireError,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -58,12 +67,8 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
   --capacity N          per-shard ingress queue capacity (default 1024)
   --seed S              fleet base seed; sensor i replays
                         fleet_stream(duration, seed, i) (default 100)
-  --mux                 drive every connection from a few non-blocking
-                        mux driver threads (FrameBuffer clients over
-                        the PollConn face) instead of two OS threads
-                        per sensor — the 10k-connection mode; also
-                        collects per-record round-trip latency
-  --drivers N           mux driver threads (default 1; needs --mux)
+  --drivers N           client driver threads sweeping the sensors'
+                        non-blocking connections (default 1)
   --reactors N          gateway reactor threads (default 1)
   --json PATH           write a machine-readable soak summary (wall
                         time, throughput, RTT percentiles, counters)
@@ -76,7 +81,8 @@ const USAGE: &str = "wire_storm — multi-sensor load generator for the occusens
                         verified through per-prediction versions
   --verify              bitwise-compare every delivered prediction
                         against direct in-process scoring and exit 1 on
-                        any mismatch, lost prediction or accounting
+                        any mismatch, any seq not resolved exactly once
+                        (one prediction or one NACK) or accounting
                         residue
   -h, --help            print this help";
 
@@ -93,7 +99,6 @@ struct Args {
     outbound_policy: BackpressurePolicy,
     capacity: usize,
     seed: u64,
-    mux: bool,
     drivers: usize,
     reactors: usize,
     json: Option<String>,
@@ -122,7 +127,6 @@ impl Default for Args {
             outbound_policy: BackpressurePolicy::Block,
             capacity: 1024,
             seed: 100,
-            mux: false,
             drivers: 1,
             reactors: 1,
             json: None,
@@ -159,10 +163,6 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
         }
         if flag == "--verify" {
             args.verify = true;
-            continue;
-        }
-        if flag == "--mux" {
-            args.mux = true;
             continue;
         }
         if flag == "--temporal" {
@@ -240,119 +240,16 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, String> {
     Ok(args)
 }
 
-/// What one sensor thread brings home.
+/// What one sensor's connection brings home.
 struct SensorOutcome {
     index: usize,
     shard: u32,
     records: Vec<CsiRecord>,
     sent: u64,
     predictions: Vec<occusense_wire::PredictionFrame>,
-    nacks: u64,
+    /// The seq of every NACKed record, in arrival order.
+    nacks: Vec<u64>,
     errors: Vec<String>,
-}
-
-fn run_sensor(
-    index: usize,
-    conn: Box<dyn Connection>,
-    records: Vec<CsiRecord>,
-    wire_batch: usize,
-    progress: Arc<AtomicU64>,
-) -> SensorOutcome {
-    let mut outcome = SensorOutcome {
-        index,
-        shard: 0,
-        records,
-        sent: 0,
-        predictions: Vec::new(),
-        nacks: 0,
-        errors: Vec::new(),
-    };
-    let (mut tx, mut rx) = match connect(conn, &format!("sensor-{index}"), Duration::from_secs(10))
-    {
-        Ok(split) => split,
-        Err(e) => {
-            outcome.errors.push(format!("handshake: {e}"));
-            return outcome;
-        }
-    };
-    outcome.shard = rx.shard();
-
-    // Receiver thread: drain until the gateway's Goodbye (or a stall).
-    let reader = std::thread::spawn(move || {
-        let mut predictions = Vec::new();
-        let mut nacks = 0u64;
-        let mut errors = Vec::new();
-        let stall_limit = Duration::from_secs(15);
-        let mut last_event = Instant::now();
-        loop {
-            match rx.recv() {
-                Ok(ClientEvent::Prediction(p)) => {
-                    predictions.push(p);
-                    progress.fetch_add(1, Ordering::Relaxed);
-                    last_event = Instant::now();
-                }
-                Ok(ClientEvent::Nack(_)) => {
-                    nacks += 1;
-                    last_event = Instant::now();
-                }
-                Ok(ClientEvent::Goodbye(_)) | Ok(ClientEvent::Closed) => break,
-                Ok(ClientEvent::TimedOut) => {
-                    if last_event.elapsed() > stall_limit {
-                        errors.push("receiver stalled past the 15 s limit".to_string());
-                        break;
-                    }
-                }
-                Err(e) => {
-                    errors.push(format!("receive: {e}"));
-                    break;
-                }
-            }
-        }
-        (predictions, nacks, errors)
-    });
-
-    // Sender: labelled on even sequence numbers (exercises both label
-    // encodings), batched per --wire-batch.
-    let labelled: Vec<(CsiRecord, Option<u8>)> = outcome
-        .records
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (*r, (i % 2 == 0).then(|| r.occupancy())))
-        .collect();
-    let mut send_failed = false;
-    if wire_batch <= 1 {
-        for (record, label) in &labelled {
-            if let Err(e) = tx.send(*record, *label) {
-                outcome.errors.push(format!("send: {e}"));
-                send_failed = true;
-                break;
-            }
-        }
-    } else {
-        for chunk in labelled.chunks(wire_batch) {
-            if let Err(e) = tx.send_batch(chunk) {
-                outcome.errors.push(format!("send batch: {e}"));
-                send_failed = true;
-                break;
-            }
-        }
-    }
-    if !send_failed {
-        match tx.finish() {
-            Ok(sent) => outcome.sent = sent,
-            Err(e) => outcome.errors.push(format!("goodbye: {e}")),
-        }
-    }
-
-    match reader.join() {
-        Ok((predictions, nacks, errors)) => {
-            outcome.predictions = predictions;
-            outcome.nacks = nacks;
-            outcome.errors.extend(errors);
-        }
-        Err(_) => outcome.errors.push("receiver thread panicked".to_string()),
-    }
-    outcome
 }
 
 /// Client-side lifecycle of one multiplexed connection.
@@ -384,7 +281,7 @@ struct MuxConn {
     shard: u32,
     sent: u64,
     predictions: Vec<occusense_wire::PredictionFrame>,
-    nacks: u64,
+    nacks: Vec<u64>,
     errors: Vec<String>,
     /// Enqueue instant per seq — RTT is measured from the moment the
     /// record entered the client's outbound buffer.
@@ -418,7 +315,7 @@ impl MuxConn {
             shard: 0,
             sent: 0,
             predictions: Vec::new(),
-            nacks: 0,
+            nacks: Vec::new(),
             errors: Vec::new(),
             sent_at: Vec::with_capacity(expected),
             rtts: Vec::with_capacity(expected),
@@ -524,7 +421,7 @@ impl MuxConn {
                         self.fail(format!("handshake refused: {}", n.reason));
                         break;
                     }
-                    self.nacks += 1;
+                    self.nacks.push(n.seq);
                 }
                 Frame::Goodbye(_) => {
                     self.done = true;
@@ -686,37 +583,14 @@ enum VerifyTarget {
 /// plus exact accounting, per sensor and globally.
 fn verify(outcomes: &[SensorOutcome], target: &VerifyTarget, report: &ServeReport) -> Vec<String> {
     let mut failures = Vec::new();
-    let mut delivered_total = 0u64;
     for o in outcomes {
-        delivered_total += o.predictions.len() as u64;
-        if o.sent != o.records.len() as u64 {
-            failures.push(format!(
-                "sensor-{}: sent {} of {} records",
-                o.index,
-                o.sent,
-                o.records.len()
-            ));
-        }
-        let resolved = o.predictions.len() as u64 + o.nacks;
-        if resolved != o.sent {
-            failures.push(format!(
-                "sensor-{}: {} records sent but only {} resolved ({} predictions + {} NACKs)",
-                o.index,
-                o.sent,
-                resolved,
-                o.predictions.len(),
-                o.nacks
-            ));
-        }
-        match target {
-            VerifyTarget::Frame(detector) => verify_frame_sensor(o, detector, &mut failures),
-            VerifyTarget::Temporal(models) => verify_temporal_sensor(o, models, &mut failures),
-        }
+        verify_sensor(o, target, &mut failures);
     }
     let unaccounted = report.unaccounted_records();
     if unaccounted != 0 {
         failures.push(format!("{unaccounted} records unaccounted for"));
     }
+    let delivered_total: u64 = outcomes.iter().map(|o| o.predictions.len() as u64).sum();
     if report.wire.predictions_sent != delivered_total {
         failures.push(format!(
             "gateway sent {} predictions but clients received {}",
@@ -724,6 +598,65 @@ fn verify(outcomes: &[SensorOutcome], target: &VerifyTarget, report: &ServeRepor
         ));
     }
     failures
+}
+
+/// One sensor's share of the verdict: everything sent, every seq
+/// resolved exactly once, every prediction bitwise equal to the replay.
+fn verify_sensor(o: &SensorOutcome, target: &VerifyTarget, failures: &mut Vec<String>) {
+    if o.sent != o.records.len() as u64 {
+        failures.push(format!(
+            "sensor-{}: sent {} of {} records",
+            o.index,
+            o.sent,
+            o.records.len()
+        ));
+    }
+    verify_exactly_once(o, failures);
+    match target {
+        VerifyTarget::Frame(detector) => verify_frame_sensor(o, detector, failures),
+        VerifyTarget::Temporal(models) => verify_temporal_sensor(o, models, failures),
+    }
+}
+
+/// Exactly-once resolution: each seq in `0..sent` must come back as
+/// one prediction or one NACK. A lost seq, a seq resolved twice (two
+/// predictions, two NACKs, or one of each) and a response for a seq
+/// never sent each fail — matching counts alone would let a loss and
+/// a duplicate cancel out.
+fn verify_exactly_once(o: &SensorOutcome, failures: &mut Vec<String>) {
+    let mut hits = vec![0u32; o.sent as usize];
+    let mut unsent = Vec::new();
+    for seq in o
+        .predictions
+        .iter()
+        .map(|p| p.seq)
+        .chain(o.nacks.iter().copied())
+    {
+        match usize::try_from(seq).ok().and_then(|i| hits.get_mut(i)) {
+            Some(n) => *n += 1,
+            None => unsent.push(seq),
+        }
+    }
+    let seqs_with = |keep: fn(u32) -> bool| -> Vec<u64> {
+        (0u64..)
+            .zip(&hits)
+            .filter(|&(_, &n)| keep(n))
+            .map(|(seq, _)| seq)
+            .collect()
+    };
+    for (what, seqs) in [
+        ("never resolved", seqs_with(|n| n == 0)),
+        ("resolved more than once", seqs_with(|n| n > 1)),
+        ("answered but never sent", unsent),
+    ] {
+        if let Some(first) = seqs.first() {
+            failures.push(format!(
+                "sensor-{}: {} seqs {what} (first: seq {first})",
+                o.index,
+                seqs.len()
+            ));
+        }
+    }
 }
 
 /// Frame-mode replay: every prediction independently rescorable, and
@@ -976,75 +909,39 @@ fn main() {
         args.wire_batch
     );
 
+    // Every connection is flipped to its non-blocking face up front
+    // and swept by a few driver threads — no per-sensor OS threads, so
+    // 10k connections is just memory.
     let progress = Arc::new(AtomicU64::new(0));
-    let mut failed: Vec<SensorOutcome> = Vec::new();
-    let running = if args.mux {
-        // Mux mode: every connection is flipped to its non-blocking
-        // face up front and swept by a few driver threads — no
-        // per-sensor OS threads, so 10k connections is just memory.
-        let drivers = args.drivers.min(args.sensors).max(1);
-        let mut driver_conns: Vec<Vec<MuxConn>> = (0..drivers).map(|_| Vec::new()).collect();
-        for (i, records) in fleets.into_iter().enumerate() {
-            match connectors.connect().and_then(|c| c.into_poll()) {
-                Ok(io) => driver_conns[i % drivers].push(MuxConn::new(i, io, records)),
-                Err(e) => failed.push(SensorOutcome {
-                    index: i,
-                    shard: 0,
-                    records,
-                    sent: 0,
-                    predictions: Vec::new(),
-                    nacks: 0,
-                    errors: vec![format!("connect: {e}")],
-                }),
-            }
+    let mut outcomes: Vec<SensorOutcome> = Vec::new();
+    let drivers = args.drivers.min(args.sensors).max(1);
+    let mut driver_conns: Vec<Vec<MuxConn>> = (0..drivers).map(|_| Vec::new()).collect();
+    for (i, records) in fleets.into_iter().enumerate() {
+        match connectors.connect().and_then(|c| c.into_poll()) {
+            Ok(io) => driver_conns[i % drivers].push(MuxConn::new(i, io, records)),
+            Err(e) => outcomes.push(SensorOutcome {
+                index: i,
+                shard: 0,
+                records,
+                sent: 0,
+                predictions: Vec::new(),
+                nacks: Vec::new(),
+                errors: vec![format!("connect: {e}")],
+            }),
         }
-        Running::Drivers(
-            driver_conns
-                .into_iter()
-                .enumerate()
-                .map(|(d, conns)| {
-                    let wire_batch = args.wire_batch;
-                    let progress = Arc::clone(&progress);
-                    std::thread::Builder::new()
-                        .name(format!("mux-driver-{d}"))
-                        .spawn(move || run_mux_driver(conns, wire_batch, progress))
-                        .expect("spawn mux driver")
-                })
-                .collect(),
-        )
-    } else {
-        Running::Threads(
-            fleets
-                .into_iter()
-                .enumerate()
-                .map(|(i, records)| {
-                    let connectors = connectors.clone();
-                    let wire_batch = args.wire_batch;
-                    let progress = Arc::clone(&progress);
-                    std::thread::Builder::new()
-                        .name(format!("storm-{i}"))
-                        .spawn(move || {
-                            let conn = match connectors.connect() {
-                                Ok(conn) => conn,
-                                Err(e) => {
-                                    return SensorOutcome {
-                                        index: i,
-                                        shard: 0,
-                                        records,
-                                        sent: 0,
-                                        predictions: Vec::new(),
-                                        nacks: 0,
-                                        errors: vec![format!("connect: {e}")],
-                                    }
-                                }
-                            };
-                            run_sensor(i, conn, records, wire_batch, progress)
-                        })
-                        .expect("spawn sensor thread")
-                })
-                .collect(),
-        )
-    };
+    }
+    let running: Vec<std::thread::JoinHandle<Vec<MuxConn>>> = driver_conns
+        .into_iter()
+        .enumerate()
+        .map(|(d, conns)| {
+            let wire_batch = args.wire_batch;
+            let progress = Arc::clone(&progress);
+            std::thread::Builder::new()
+                .name(format!("mux-driver-{d}"))
+                .spawn(move || run_mux_driver(conns, wire_batch, progress))
+                .expect("spawn mux driver")
+        })
+        .collect();
 
     // The mid-storm hot swap: published once ~25% of the predictions
     // have been delivered, so it reliably lands mid-stream regardless
@@ -1069,29 +966,20 @@ fn main() {
     }
 
     let mut rtts: Vec<u64> = Vec::new();
-    let mut outcomes: Vec<SensorOutcome> = match running {
-        Running::Threads(handles) => handles
-            .into_iter()
-            .map(|h| h.join().expect("sensor thread panicked"))
-            .collect(),
-        Running::Drivers(handles) => handles
-            .into_iter()
-            .flat_map(|h| h.join().expect("mux driver panicked"))
-            .map(|conn| {
-                let (outcome, conn_rtts) = conn.into_outcome();
-                rtts.extend(conn_rtts);
-                outcome
-            })
-            .collect(),
-    };
-    outcomes.append(&mut failed);
+    for handle in running {
+        for conn in handle.join().expect("mux driver panicked") {
+            let (outcome, conn_rtts) = conn.into_outcome();
+            rtts.extend(conn_rtts);
+            outcomes.push(outcome);
+        }
+    }
     outcomes.sort_by_key(|o| o.index);
     let report = gateway.shutdown();
     let wall = started.elapsed();
 
     let sent_total: u64 = outcomes.iter().map(|o| o.sent).sum();
     let delivered_total: usize = outcomes.iter().map(|o| o.predictions.len()).sum();
-    let nacks_total: u64 = outcomes.iter().map(|o| o.nacks).sum();
+    let nacks_total: usize = outcomes.iter().map(|o| o.nacks.len()).sum();
     for o in &outcomes {
         eprintln!(
             "sensor-{}: shard {}, sent {}, predictions {}, nacks {}{}",
@@ -1099,7 +987,7 @@ fn main() {
             o.shard,
             o.sent,
             o.predictions.len(),
-            o.nacks,
+            o.nacks.len(),
             if o.errors.is_empty() {
                 String::new()
             } else {
@@ -1143,10 +1031,8 @@ fn main() {
             .collect();
         eprintln!("predictions by model version: {}", summary.join(", "));
         if args.swap && args.verify && by_version.len() < 2 {
-            failures.push(
-                "--swap landed after every record was scored; raise --records or lower --swap-after-ms"
-                    .to_string(),
-            );
+            failures
+                .push("--swap landed after every record was scored; raise --records".to_string());
         }
     }
     if args.verify {
@@ -1174,7 +1060,6 @@ fn main() {
                 "  \"sensors\": {},\n",
                 "  \"records_per_sensor\": {},\n",
                 "  \"transport\": \"{}\",\n",
-                "  \"mux\": {},\n",
                 "  \"drivers\": {},\n",
                 "  \"reactors\": {},\n",
                 "  \"wire_batch\": {},\n",
@@ -1198,7 +1083,6 @@ fn main() {
                 Transport::Loopback => "loopback",
                 Transport::Tcp => "tcp",
             },
-            args.mux,
             args.drivers,
             args.reactors,
             args.wire_batch,
@@ -1231,15 +1115,6 @@ fn main() {
     }
 }
 
-/// In-flight sensor work, per traffic mode.
-enum Running {
-    /// Thread-per-sensor (the pre-reactor client path, still the
-    /// default): one blocking sender + one reader thread per sensor.
-    Threads(Vec<std::thread::JoinHandle<SensorOutcome>>),
-    /// Mux drivers, each sweeping many non-blocking connections.
-    Drivers(Vec<std::thread::JoinHandle<Vec<MuxConn>>>),
-}
-
 /// Which model family boots the gateway's serving runtime. One
 /// instance exists per run, so the variant size gap is irrelevant.
 #[allow(clippy::large_enum_variant)]
@@ -1262,8 +1137,7 @@ impl BootModel {
     }
 }
 
-/// Per-transport connection factory, cloneable into sensor threads.
-#[derive(Clone)]
+/// Per-transport connection factory.
 enum Connectors {
     Loopback(LoopbackConnector),
     Tcp(String),
@@ -1275,5 +1149,135 @@ impl Connectors {
             Connectors::Loopback(c) => c.connect(),
             Connectors::Tcp(addr) => tcp_connect(addr, TcpConfig::default()),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use occusense_wire::PredictionFrame;
+
+    /// A small frame-mode detector and one sensor's outcome in which
+    /// every record came back as its bitwise-correct prediction.
+    fn clean_run() -> (VerifyTarget, SensorOutcome) {
+        let detector = OccupancyDetector::train(
+            &simulate(&ScenarioConfig::quick(200.0, 7)),
+            &DetectorConfig {
+                mlp_epochs: 1,
+                seed: 7,
+                ..DetectorConfig::default()
+            },
+        );
+        let records: Vec<CsiRecord> = fleet_stream(20.0, 100, 0).take(24).collect();
+        let predictions = records
+            .iter()
+            .enumerate()
+            .map(|(seq, record)| {
+                let (occupied, proba) = detector.predict_record(record);
+                PredictionFrame {
+                    seq: seq as u64,
+                    timestamp_s: record.timestamp_s,
+                    occupied,
+                    proba,
+                    model_version: 1,
+                    latency_ns: 0,
+                }
+            })
+            .collect();
+        let outcome = SensorOutcome {
+            index: 0,
+            shard: 0,
+            sent: records.len() as u64,
+            records,
+            predictions,
+            nacks: Vec::new(),
+            errors: Vec::new(),
+        };
+        (VerifyTarget::Frame(detector), outcome)
+    }
+
+    fn verdict(target: &VerifyTarget, outcome: &SensorOutcome) -> Vec<String> {
+        let mut failures = Vec::new();
+        verify_sensor(outcome, target, &mut failures);
+        failures
+    }
+
+    fn assert_fails(target: &VerifyTarget, outcome: &SensorOutcome, needle: &str) {
+        let failures = verdict(target, outcome);
+        assert!(
+            failures.iter().any(|f| f.contains(needle)),
+            "expected a failure naming {needle:?}, got {failures:?}"
+        );
+    }
+
+    #[test]
+    fn a_clean_run_passes() {
+        let (target, outcome) = clean_run();
+        assert_eq!(verdict(&target, &outcome), Vec::<String>::new());
+    }
+
+    #[test]
+    fn nacks_resolve_their_seqs() {
+        let (target, mut outcome) = clean_run();
+        for seq in [3, 7] {
+            outcome.predictions.retain(|p| p.seq != seq);
+            outcome.nacks.push(seq);
+        }
+        assert_eq!(verdict(&target, &outcome), Vec::<String>::new());
+    }
+
+    #[test]
+    fn a_flipped_proba_bit_fails() {
+        let (target, mut outcome) = clean_run();
+        let p = &mut outcome.predictions[5];
+        p.proba = f64::from_bits(p.proba.to_bits() ^ 1);
+        assert_fails(&target, &outcome, "seq 5: wire");
+    }
+
+    #[test]
+    fn a_dropped_prediction_fails() {
+        let (target, mut outcome) = clean_run();
+        outcome.predictions.retain(|p| p.seq != 5);
+        assert_fails(&target, &outcome, "1 seqs never resolved (first: seq 5)");
+    }
+
+    #[test]
+    fn a_duplicate_delivery_fails() {
+        let (target, mut outcome) = clean_run();
+        let again = outcome.predictions[6];
+        outcome.predictions.push(again);
+        assert_fails(
+            &target,
+            &outcome,
+            "1 seqs resolved more than once (first: seq 6)",
+        );
+    }
+
+    #[test]
+    fn a_drop_plus_a_duplicate_fails_although_the_counts_match() {
+        let (target, mut outcome) = clean_run();
+        outcome.predictions.retain(|p| p.seq != 5);
+        let again = outcome.predictions[5];
+        assert_eq!(again.seq, 6);
+        outcome.predictions.push(again);
+        assert_eq!(outcome.predictions.len() as u64, outcome.sent);
+        assert_fails(&target, &outcome, "1 seqs never resolved (first: seq 5)");
+        assert_fails(
+            &target,
+            &outcome,
+            "1 seqs resolved more than once (first: seq 6)",
+        );
+    }
+
+    #[test]
+    fn a_nack_for_an_unsent_seq_fails() {
+        let (target, mut outcome) = clean_run();
+        let unsent = outcome.sent;
+        outcome.nacks.push(unsent);
+        assert_fails(
+            &target,
+            &outcome,
+            &format!("1 seqs answered but never sent (first: seq {unsent})"),
+        );
     }
 }

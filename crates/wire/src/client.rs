@@ -4,8 +4,7 @@
 //! [`connect`] performs the `Hello → HelloAck` handshake on any
 //! [`Connection`] (loopback or TCP) and returns independently owned
 //! sender/receiver halves, so a sensor can stream records from one
-//! thread while a second thread consumes predictions — the shape
-//! `wire_storm` uses for every simulated sensor.
+//! thread while a second thread consumes predictions.
 
 use crate::codec::{
     BatchFrame, Frame, Goodbye, Hello, NackFrame, PredictionFrame, RecordFrame, MAX_BATCH_RECORDS,

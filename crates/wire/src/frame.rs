@@ -155,6 +155,44 @@ impl Encoder {
     }
 }
 
+/// Verifies the frame at the start of `bytes` without copying it:
+/// header decoded, declared length refused before any payload is
+/// needed if it exceeds `max_payload`, checksum checked. `Ok(None)`
+/// means the frame is not complete yet — read more bytes and retry.
+///
+/// # Errors
+///
+/// Bad magic/version/flags, [`DecodeError::Oversize`], or a checksum
+/// mismatch. All of them desynchronise the stream.
+// lint:no_alloc
+fn verified_frame(
+    bytes: &[u8],
+    max_payload: usize,
+) -> Result<Option<(FrameHeader, &[u8])>, DecodeError> {
+    if bytes.len() < HEADER_BYTES {
+        return Ok(None);
+    }
+    let header = decode_header(bytes)?;
+    if header.payload_len > max_payload {
+        return Err(DecodeError::Oversize {
+            len: header.payload_len,
+            max: max_payload,
+        });
+    }
+    let Some(payload) = bytes.get(HEADER_BYTES..HEADER_BYTES + header.payload_len) else {
+        return Ok(None);
+    };
+    let computed = checksum_of(header.frame_type, payload);
+    if computed != header.checksum {
+        return Err(DecodeError::ChecksumMismatch {
+            expected: header.checksum,
+            computed,
+        });
+    }
+    Ok(Some((header, payload)))
+}
+// lint:end_no_alloc
+
 /// Decodes one complete frame from the start of `bytes`, returning it
 /// together with the number of bytes consumed (header + payload).
 ///
@@ -165,35 +203,123 @@ impl Encoder {
 /// declared payload exceeds `max_payload`; checksum and payload errors
 /// otherwise. Never panics.
 pub fn decode_frame(bytes: &[u8], max_payload: usize) -> Result<(Frame, usize), DecodeError> {
-    let header = decode_header(bytes)?;
-    if header.payload_len > max_payload {
-        return Err(DecodeError::Oversize {
-            len: header.payload_len,
-            max: max_payload,
-        });
-    }
-    let total = HEADER_BYTES + header.payload_len;
-    let payload = bytes
-        .get(HEADER_BYTES..total)
-        .ok_or(DecodeError::Truncated {
-            needed: total,
+    let Some((header, payload)) = verified_frame(bytes, max_payload)? else {
+        let needed = decode_header(bytes).map_or(HEADER_BYTES, |h| HEADER_BYTES + h.payload_len);
+        return Err(DecodeError::Truncated {
+            needed,
             have: bytes.len(),
-        })?;
-    let computed = checksum_of(header.frame_type, payload);
-    if computed != header.checksum {
-        return Err(DecodeError::ChecksumMismatch {
-            expected: header.checksum,
-            computed,
         });
-    }
+    };
     let frame = codec::decode_payload(header.frame_type, payload)?;
-    Ok((frame, total))
+    Ok((frame, HEADER_BYTES + header.payload_len))
+}
+
+/// Initial per-connection receive buffer; grows geometrically up to
+/// `HEADER_BYTES + max_payload` only when a frame actually needs it,
+/// so an idle 10 k-connection fleet costs ~40 MB, not ~10 GB.
+const INITIAL_RECV_BYTES: usize = 4096;
+
+/// Incremental frame accumulator: raw bytes in, verified frames out,
+/// with the payload **borrowed from the buffer** (no per-frame copy).
+///
+/// The read-side loop is: [`spare_mut`](Self::spare_mut) →
+/// fill from the transport → [`commit`](Self::commit) →
+/// [`peek`](Self::peek) / process / [`consume`](Self::consume) until
+/// `peek` reports it needs more bytes. The buffer starts small and
+/// grows geometrically, capped at `HEADER_BYTES + max_payload`, so a
+/// frame larger than the cap is refused (via
+/// [`DecodeError::Oversize`]) before it can make the buffer grow.
+///
+/// The one receive-side framer: shared by the gateway's reactor, the
+/// blocking transports' [`FrameSource`](crate::transport::FrameSource)
+/// and `wire_storm`'s multiplexed client drivers.
+#[derive(Debug)]
+pub struct FrameBuffer {
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+    max_payload: usize,
+}
+
+impl FrameBuffer {
+    /// A fresh buffer accepting payloads up to `max_payload` bytes.
+    pub fn new(max_payload: usize) -> Self {
+        let cap = (HEADER_BYTES + max_payload).min(INITIAL_RECV_BYTES.max(HEADER_BYTES + 1));
+        Self {
+            buf: vec![0; cap],
+            start: 0,
+            end: 0,
+            max_payload,
+        }
+    }
+
+    /// Whether the buffer holds no unconsumed bytes (an EOF here is a
+    /// clean close; an EOF with `!is_empty()` is a truncated frame).
+    pub fn is_empty(&self) -> bool {
+        self.start == self.end
+    }
+
+    /// The writable tail for the next transport read. Compacts (and,
+    /// when a frame genuinely needs more room, grows — geometrically,
+    /// capped at `HEADER_BYTES + max_payload`) so the returned slice is
+    /// non-empty unless an oversize frame is pending, which `peek`
+    /// refuses anyway.
+    pub fn spare_mut(&mut self) -> &mut [u8] {
+        if self.start == self.end {
+            self.start = 0;
+            self.end = 0;
+        }
+        if self.end == self.buf.len() {
+            if self.start > 0 {
+                self.buf.copy_within(self.start..self.end, 0);
+                self.end -= self.start;
+                self.start = 0;
+            } else {
+                let cap = HEADER_BYTES + self.max_payload;
+                let target = (self.buf.len() * 2).min(cap);
+                if target > self.buf.len() {
+                    self.buf.resize(target, 0);
+                }
+            }
+        }
+        self.buf.get_mut(self.end..).unwrap_or(&mut [])
+    }
+
+    /// Records that `n` bytes were written into
+    /// [`spare_mut`](Self::spare_mut).
+    pub fn commit(&mut self, n: usize) {
+        self.end = (self.end + n).min(self.buf.len());
+    }
+
+    // lint:no_alloc
+    /// Verifies and exposes the next complete frame without copying:
+    /// header decoded, length bounded, checksum checked, payload
+    /// returned as a borrow of the internal buffer. `Ok(None)` means
+    /// "read more bytes and retry".
+    ///
+    /// # Errors
+    ///
+    /// Any framing [`DecodeError`] — bad magic/version/flags, an
+    /// oversize declaration (refused before buffering the payload), or
+    /// a checksum mismatch. All of them desynchronise the stream and
+    /// are fatal for the connection.
+    pub fn peek(&self) -> Result<Option<(FrameHeader, &[u8])>, DecodeError> {
+        let avail = self.buf.get(self.start..self.end).unwrap_or_default();
+        verified_frame(avail, self.max_payload)
+    }
+
+    /// Consumes the frame last returned by [`peek`](Self::peek):
+    /// advances past its header plus `payload_len` bytes.
+    pub fn consume(&mut self, payload_len: usize) {
+        self.start = (self.start + HEADER_BYTES + payload_len).min(self.end);
+    }
+    // lint:end_no_alloc
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::codec::{Goodbye, NackFrame, NackReason};
+    use crate::codec::{Goodbye, Hello, NackFrame, NackReason};
 
     #[test]
     fn header_layout_is_exactly_twenty_bytes() {
@@ -300,5 +426,71 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn frame_buffer_grows_compacts_and_parses_across_fragments() {
+        let hello = Frame::Hello(Hello {
+            protocol: PROTOCOL_VERSION,
+            sensor_id: "buffer-test".into(),
+            tenant: String::new(),
+        });
+        let bytes = Encoder::new().encode(&hello).unwrap();
+        let mut buf = FrameBuffer::new(1 << 16);
+
+        // Feed the frame one byte at a time: peek must stay Ok(None)
+        // until the last byte lands.
+        for (i, b) in bytes.iter().enumerate() {
+            assert!(
+                buf.peek().expect("no error on prefix").is_none(),
+                "byte {i}: incomplete frame must not parse"
+            );
+            let spare = buf.spare_mut();
+            assert!(!spare.is_empty());
+            if let Some(slot) = spare.first_mut() {
+                *slot = *b;
+            }
+            buf.commit(1);
+        }
+        let (header, payload) = buf
+            .peek()
+            .expect("complete frame decodes")
+            .expect("frame present");
+        assert_eq!(header.frame_type, 1);
+        assert_eq!(payload.len(), header.payload_len);
+        let payload_len = header.payload_len;
+        buf.consume(payload_len);
+        assert!(buf.is_empty());
+
+        // After consuming, the next write may reuse the front (reset /
+        // compaction) — feed two frames back to back and drain both.
+        let two: Vec<u8> = [bytes.as_slice(), bytes.as_slice()].concat();
+        let mut fed = 0;
+        while fed < two.len() {
+            let spare = buf.spare_mut();
+            let n = spare.len().min(two.len() - fed);
+            assert!(n > 0, "buffer must always offer spare room under cap");
+            if let Some(dst) = spare.get_mut(..n) {
+                dst.copy_from_slice(&two[fed..fed + n]);
+            }
+            buf.commit(n);
+            fed += n;
+        }
+        for _ in 0..2 {
+            let (h, _) = buf.peek().expect("decodes").expect("present");
+            let len = h.payload_len;
+            buf.consume(len);
+        }
+        assert!(buf.is_empty());
+    }
+
+    #[test]
+    fn frame_buffer_starts_small_and_caps_at_max_payload() {
+        let mut buf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
+        // 10k idle connections must not cost 10 GB: the initial
+        // allocation is a few KiB, not HEADER + max_payload.
+        assert!(buf.spare_mut().len() <= INITIAL_RECV_BYTES);
+        let tiny = FrameBuffer::new(8);
+        assert!(tiny.max_payload == 8);
     }
 }

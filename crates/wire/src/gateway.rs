@@ -29,9 +29,10 @@
 //!
 //! # Accounting
 //!
-//! The gateway increments the [`wire_stats`] counters on the runtime's
-//! own [`MetricsRegistry`](occusense_serve::MetricsRegistry);
-//! [`ServeRuntime::shutdown`] mirrors them into
+//! The gateway increments the
+//! [`wire_stats`](occusense_serve::wire_stats) counters through the
+//! runtime's own [`WireStats`] handles; [`ServeRuntime::shutdown`]
+//! snapshots them into
 //! [`ServeReport::wire`](occusense_serve::ServeReport) and
 //! `FaultReport::{transport_rejections, transport_timeouts,
 //! connection_panics}`, and `ServeReport::unaccounted_records()`
@@ -49,8 +50,8 @@ use crate::WireError;
 use occusense_core::detector::OccupancyDetector;
 use occusense_core::temporal::TemporalDetector;
 use occusense_serve::{
-    wire_stats, BackpressurePolicy, BoundedQueue, Counter, MetricsRegistry, Prediction,
-    SensorClient, ServeConfig, ServeReport, ServeRuntime,
+    BackpressurePolicy, BoundedQueue, Counter, Prediction, SensorClient, ServeConfig, ServeReport,
+    ServeRuntime, WireStats,
 };
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -105,46 +106,6 @@ impl Default for GatewayConfig {
 /// it before closing.
 pub(crate) type Registry = Arc<Mutex<BTreeMap<String, Arc<BoundedQueue<Frame>>>>>;
 
-/// `wire_stats` counter handles shared by every gateway thread.
-#[derive(Clone)]
-pub(crate) struct GatewayCounters {
-    pub(crate) connections: Arc<Counter>,
-    pub(crate) frames_received: Arc<Counter>,
-    pub(crate) records_decoded: Arc<Counter>,
-    pub(crate) records_ingested: Arc<Counter>,
-    pub(crate) records_rejected: Arc<Counter>,
-    pub(crate) records_shed: Arc<Counter>,
-    pub(crate) malformed_frames: Arc<Counter>,
-    pub(crate) predictions_routed: Arc<Counter>,
-    pub(crate) predictions_sent: Arc<Counter>,
-    pub(crate) predictions_unrouted: Arc<Counter>,
-    pub(crate) transport_timeouts: Arc<Counter>,
-    pub(crate) connection_panics: Arc<Counter>,
-    pub(crate) lock_recoveries: Arc<Counter>,
-    pub(crate) thread_panics: Arc<Counter>,
-}
-
-impl GatewayCounters {
-    pub(crate) fn new(m: &MetricsRegistry) -> Self {
-        Self {
-            connections: m.counter(wire_stats::CONNECTIONS),
-            frames_received: m.counter(wire_stats::FRAMES_RECEIVED),
-            records_decoded: m.counter(wire_stats::RECORDS_DECODED),
-            records_ingested: m.counter(wire_stats::RECORDS_INGESTED),
-            records_rejected: m.counter(wire_stats::RECORDS_REJECTED),
-            records_shed: m.counter(wire_stats::RECORDS_SHED),
-            malformed_frames: m.counter(wire_stats::MALFORMED_FRAMES),
-            predictions_routed: m.counter(wire_stats::PREDICTIONS_ROUTED),
-            predictions_sent: m.counter(wire_stats::PREDICTIONS_SENT),
-            predictions_unrouted: m.counter(wire_stats::PREDICTIONS_UNROUTED),
-            transport_timeouts: m.counter(wire_stats::TRANSPORT_TIMEOUTS),
-            connection_panics: m.counter(wire_stats::CONNECTION_PANICS),
-            lock_recoveries: m.counter(wire_stats::LOCK_RECOVERIES),
-            thread_panics: m.counter(wire_stats::THREAD_PANICS),
-        }
-    }
-}
-
 /// Joins a gateway thread, *counting* a panic surfaced by the join
 /// instead of discarding it. The panic was already terminal for the
 /// thread — what must not vanish is the evidence, so it lands in
@@ -164,7 +125,7 @@ fn join_counted(handle: JoinHandle<()>, thread_panics: &Counter) {
 /// Recoveries are counted so the report shows the near-miss.
 pub(crate) fn lock_registry<'a>(
     registry: &'a Registry,
-    counters: &GatewayCounters,
+    counters: &WireStats,
 ) -> MutexGuard<'a, BTreeMap<String, Arc<BoundedQueue<Frame>>>> {
     match registry.lock() {
         Ok(guard) => guard,
@@ -187,7 +148,7 @@ pub struct Gateway {
     accept: Option<JoinHandle<()>>,
     router: Option<JoinHandle<()>>,
     reactors: Vec<JoinHandle<()>>,
-    counters: GatewayCounters,
+    counters: WireStats,
 }
 
 impl Gateway {
@@ -244,7 +205,7 @@ impl Gateway {
         acceptor: Box<dyn Acceptor>,
     ) -> Self {
         let runtime = Arc::new(runtime);
-        let counters = GatewayCounters::new(runtime.metrics());
+        let counters = runtime.wire_stats().clone();
         let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
         let stop = Arc::new(AtomicBool::new(false));
         let draining = Arc::new(AtomicBool::new(false));
@@ -421,7 +382,7 @@ fn accept_loop(
     mut acceptor: Box<dyn Acceptor>,
     stop: Arc<AtomicBool>,
     injectors: Vec<Arc<Injector>>,
-    counters: GatewayCounters,
+    counters: WireStats,
 ) {
     let mut next: usize = 0;
     // SeqCst to match the shutdown store: the flag is the only
@@ -450,7 +411,7 @@ fn accept_loop(
 fn route_predictions(
     predictions: mpsc::Receiver<Prediction>,
     registry: Registry,
-    counters: GatewayCounters,
+    counters: WireStats,
 ) {
     while let Ok(p) = predictions.recv() {
         let queue = lock_registry(&registry, &counters)
@@ -481,7 +442,7 @@ pub(crate) fn register(
     registry: &Registry,
     sensor_id: &str,
     queue: &Arc<BoundedQueue<Frame>>,
-    counters: &GatewayCounters,
+    counters: &WireStats,
 ) {
     lock_registry(registry, counters).insert(sensor_id.to_string(), Arc::clone(queue));
 }
@@ -496,7 +457,7 @@ pub(crate) fn deregister(
     registry: &Registry,
     sensor_id: &str,
     queue: &Arc<BoundedQueue<Frame>>,
-    counters: &GatewayCounters,
+    counters: &WireStats,
 ) -> bool {
     let mut guard = lock_registry(registry, counters);
     if guard.get(sensor_id).is_some_and(|q| Arc::ptr_eq(q, queue)) {
@@ -517,6 +478,7 @@ mod tests {
     use crate::ClientEvent;
     use occusense_core::detector::{DetectorConfig, ModelKind, OccupancyDetector};
     use occusense_core::sim::{simulate, ScenarioConfig};
+    use occusense_serve::MetricsRegistry;
     use std::io::IoSlice;
 
     fn quick_detector() -> OccupancyDetector {
@@ -659,7 +621,7 @@ mod tests {
     #[test]
     fn join_counted_counts_panics_and_only_panics() {
         let metrics = MetricsRegistry::new();
-        let counters = GatewayCounters::new(&metrics);
+        let counters = WireStats::register(&metrics);
 
         join_counted(std::thread::spawn(|| {}), &counters.thread_panics);
         assert_eq!(counters.thread_panics.get(), 0, "clean join must not count");
@@ -681,7 +643,7 @@ mod tests {
     #[test]
     fn registry_lock_recovers_from_poison() {
         let metrics = MetricsRegistry::new();
-        let counters = GatewayCounters::new(&metrics);
+        let counters = WireStats::register(&metrics);
         let registry: Registry = Arc::new(Mutex::new(BTreeMap::new()));
 
         let queue = Arc::new(BoundedQueue::<Frame>::new(4, BackpressurePolicy::Block));

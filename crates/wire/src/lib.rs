@@ -8,25 +8,28 @@
 //! little-endian frames over a real connection:
 //!
 //! ```text
-//!  sensor node                     gateway ──────────────────────────┐
-//!  WireSender ──Record/Batch──▶ conn reader ──submit_sequenced──▶    │
-//!                                   │ (NACK on rejection)       Serve│
-//!  WireReceiver ◀─Prediction── conn writer ◀── router ◀─predictions──┘
-//!                 ◀─Nack──        (bounded outbound queue,    Runtime
-//!                                  slow-client policy)
+//!  sensor node                    gateway
+//!  WireSender ──Record/Batch──▶ reactor thread ──submit_sequenced──▶ ServeRuntime
+//!                               (FrameBuffer;    (NACK on rejection)      │
+//!                                sweeps many                              │
+//!                                connections)                             │
+//!  WireReceiver ◀─Prediction── WriteRing ◀── outbound queue ◀── router ◀──┘
+//!                 ◀─Nack──                  (bounded, slow-client policy)
 //! ```
 //!
 //! * [`codec`] — the payload byte layout: bit-exact `f64`s (via
 //!   [`f64::to_bits`]), canonical encodings, typed [`DecodeError`]s,
 //!   no panicking paths (enforced by occusense-lint).
 //! * [`frame`] — the envelope: magic, version, length prefix,
-//!   FNV-1a-64 checksum over frame type + payload.
+//!   FNV-1a-64 checksum over frame type + payload, and the
+//!   [`FrameBuffer`] every receiver parses frames with.
 //! * [`transport`] — [`Connection`]/[`Acceptor`] over an in-process
 //!   loopback (deterministic tests/benches) or std-only TCP with
 //!   read/write timeouts and max-frame-size limits.
 //! * [`gateway`] — N concurrent sensor connections feeding one
-//!   `ServeRuntime`; backpressure surfaces to clients as NACK frames,
-//!   and every transport-level loss lands in
+//!   `ServeRuntime`, multiplexed onto a few [`reactor`] threads over
+//!   the non-blocking [`PollConn`] face; backpressure surfaces to
+//!   clients as NACK frames, and every transport-level loss lands in
 //!   `ServeReport::unaccounted_records()`'s extended identity.
 //! * [`client`] — the sensor-side library (`connect` → split
 //!   sender/receiver).
@@ -53,11 +56,10 @@ pub use codec::{
     MAX_SENSOR_ID_BYTES, MAX_TENANT_ID_BYTES, PROTOCOL_VERSION, RECORD_BYTES,
 };
 pub use frame::{
-    checksum_of, decode_frame, decode_header, fnv1a, Encoder, FrameHeader, DEFAULT_MAX_PAYLOAD,
-    HEADER_BYTES, MAGIC,
+    checksum_of, decode_frame, decode_header, fnv1a, Encoder, FrameBuffer, FrameHeader,
+    DEFAULT_MAX_PAYLOAD, HEADER_BYTES, MAGIC,
 };
 pub use gateway::{Gateway, GatewayConfig};
-pub use reactor::FrameBuffer;
 pub use transport::{
     loopback, tcp_connect, tcp_listen, Accepted, Acceptor, Connection, FrameSink, FrameSource,
     LoopbackAcceptor, LoopbackConfig, LoopbackConnector, PollConn, PollRead, PollWrite,

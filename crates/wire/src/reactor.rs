@@ -42,14 +42,14 @@
 //! accounting identity `decoded = ingested + rejected + shed` still
 //! closes and the rest of the fleet keeps serving.
 
-use crate::codec::{self, DecodeError, Frame, Goodbye, HelloAck, NackFrame, NackReason};
+use crate::codec::{self, Frame, Goodbye, HelloAck, NackFrame, NackReason};
 use crate::codec::{BatchView, PROTOCOL_VERSION};
-use crate::frame::{checksum_of, decode_header, Encoder, FrameHeader, HEADER_BYTES};
+use crate::frame::{Encoder, FrameBuffer, HEADER_BYTES};
 use crate::gateway::GatewayConfig;
-use crate::gateway::{deregister, register, GatewayCounters, Registry};
+use crate::gateway::{deregister, register, Registry};
 use crate::transport::{PollConn, PollRead, PollWrite};
 use occusense_serve::{
-    BoundedQueue, PopResult, SensorClient, ServeRuntime, SubmitError, TryPushError,
+    BoundedQueue, PopResult, SensorClient, ServeRuntime, SubmitError, TryPushError, WireStats,
 };
 use std::collections::VecDeque;
 use std::io::IoSlice;
@@ -63,11 +63,6 @@ const FT_RECORD: u8 = 3;
 const FT_BATCH: u8 = 4;
 const FT_GOODBYE: u8 = 7;
 
-/// Initial per-connection receive buffer; grows geometrically up to
-/// `HEADER_BYTES + max_payload` only when a frame actually needs it,
-/// so an idle 10 k-connection fleet costs ~40 MB, not ~10 GB.
-const INITIAL_RECV_BYTES: usize = 4096;
-
 /// Fixed capacity of each connection's outbound write ring. Gateway
 /// frames are small (a `Prediction` is 58 wire bytes), so one ring
 /// batches hundreds of frames per vectored write.
@@ -77,129 +72,6 @@ const WRITE_RING_BYTES: usize = 16 * 1024;
 /// one connection may consume in a single sweep.
 const MAX_READS_PER_SWEEP: usize = 4;
 const MAX_WRITE_ROUNDS_PER_SWEEP: usize = 8;
-
-/// Incremental frame accumulator: raw bytes in, verified frames out,
-/// with the payload **borrowed from the buffer** (no per-frame copy).
-///
-/// The read-side loop is: [`spare_mut`](Self::spare_mut) →
-/// fill from the transport → [`commit`](Self::commit) →
-/// [`peek`](Self::peek) / process / [`consume`](Self::consume) until
-/// `peek` reports it needs more bytes. The buffer starts small and
-/// grows geometrically, capped at `HEADER_BYTES + max_payload`, so a
-/// frame larger than the cap is refused (via
-/// [`DecodeError::Oversize`]) before it can make the buffer grow.
-///
-/// Shared by the gateway's reactor and `wire_storm`'s multiplexed
-/// client drivers.
-#[derive(Debug)]
-pub struct FrameBuffer {
-    buf: Vec<u8>,
-    start: usize,
-    end: usize,
-    max_payload: usize,
-}
-
-impl FrameBuffer {
-    /// A fresh buffer accepting payloads up to `max_payload` bytes.
-    pub fn new(max_payload: usize) -> Self {
-        let cap = (HEADER_BYTES + max_payload).min(INITIAL_RECV_BYTES.max(HEADER_BYTES + 1));
-        Self {
-            buf: vec![0; cap],
-            start: 0,
-            end: 0,
-            max_payload,
-        }
-    }
-
-    /// Unconsumed bytes currently buffered.
-    pub fn len(&self) -> usize {
-        self.end - self.start
-    }
-
-    /// Whether the buffer holds no unconsumed bytes (an EOF here is a
-    /// clean close; an EOF with `!is_empty()` is a truncated frame).
-    pub fn is_empty(&self) -> bool {
-        self.start == self.end
-    }
-
-    /// The writable tail for the next transport read. Compacts (and,
-    /// when a frame genuinely needs more room, grows — geometrically,
-    /// capped at `HEADER_BYTES + max_payload`) so the returned slice is
-    /// non-empty unless an oversize frame is pending, which `peek`
-    /// refuses anyway.
-    pub fn spare_mut(&mut self) -> &mut [u8] {
-        if self.start == self.end {
-            self.start = 0;
-            self.end = 0;
-        }
-        if self.end == self.buf.len() {
-            if self.start > 0 {
-                self.buf.copy_within(self.start..self.end, 0);
-                self.end -= self.start;
-                self.start = 0;
-            } else {
-                let cap = HEADER_BYTES + self.max_payload;
-                let target = (self.buf.len() * 2).min(cap);
-                if target > self.buf.len() {
-                    self.buf.resize(target, 0);
-                }
-            }
-        }
-        self.buf.get_mut(self.end..).unwrap_or(&mut [])
-    }
-
-    /// Records that `n` bytes were written into
-    /// [`spare_mut`](Self::spare_mut).
-    pub fn commit(&mut self, n: usize) {
-        self.end = (self.end + n).min(self.buf.len());
-    }
-
-    // lint:no_alloc
-    /// Verifies and exposes the next complete frame without copying:
-    /// header decoded, length bounded, checksum checked, payload
-    /// returned as a borrow of the internal buffer. `Ok(None)` means
-    /// "read more bytes and retry".
-    ///
-    /// # Errors
-    ///
-    /// Any framing [`DecodeError`] — bad magic/version/flags, an
-    /// oversize declaration (refused before buffering the payload), or
-    /// a checksum mismatch. All of them desynchronise the stream and
-    /// are fatal for the connection.
-    pub fn peek(&self) -> Result<Option<(FrameHeader, &[u8])>, DecodeError> {
-        let avail = self.buf.get(self.start..self.end).unwrap_or_default();
-        if avail.len() < HEADER_BYTES {
-            return Ok(None);
-        }
-        let header = decode_header(avail)?;
-        if header.payload_len > self.max_payload {
-            return Err(DecodeError::Oversize {
-                len: header.payload_len,
-                max: self.max_payload,
-            });
-        }
-        let total = HEADER_BYTES + header.payload_len;
-        let Some(frame_bytes) = avail.get(..total) else {
-            return Ok(None);
-        };
-        let payload = frame_bytes.get(HEADER_BYTES..).unwrap_or_default();
-        let computed = checksum_of(header.frame_type, payload);
-        if computed != header.checksum {
-            return Err(DecodeError::ChecksumMismatch {
-                expected: header.checksum,
-                computed,
-            });
-        }
-        Ok(Some((header, payload)))
-    }
-
-    /// Consumes the frame last returned by [`peek`](Self::peek):
-    /// advances past its header plus `payload_len` bytes.
-    pub fn consume(&mut self, payload_len: usize) {
-        self.start = (self.start + HEADER_BYTES + payload_len).min(self.end);
-    }
-    // lint:end_no_alloc
-}
 
 /// Fixed-capacity outbound byte ring: frames are encoded in, bytes are
 /// flushed out with vectored writes (two [`IoSlice`]s when wrapped).
@@ -309,7 +181,7 @@ pub(crate) struct ReactorCtx {
     pub(crate) runtime: Arc<ServeRuntime>,
     pub(crate) registry: Registry,
     pub(crate) config: GatewayConfig,
-    pub(crate) counters: GatewayCounters,
+    pub(crate) counters: WireStats,
     pub(crate) stop: Arc<AtomicBool>,
     /// Drain-and-handoff mode: live connections keep serving, but new
     /// handshakes are refused with a `Shutdown` NACK so a fleet
@@ -1027,76 +899,9 @@ pub(crate) fn reactor_loop(injector: Arc<Injector>, ctx: ReactorCtx) {
 mod tests {
     use super::*;
     use crate::codec::{Hello, PredictionFrame};
-    use crate::frame::DEFAULT_MAX_PAYLOAD;
 
     fn frame_bytes(frame: &Frame) -> Vec<u8> {
         Encoder::default().encode(frame).expect("encode")
-    }
-
-    #[test]
-    fn frame_buffer_grows_compacts_and_parses_across_fragments() {
-        let hello = Frame::Hello(Hello {
-            protocol: PROTOCOL_VERSION,
-            sensor_id: "buffer-test".into(),
-            tenant: String::new(),
-        });
-        let bytes = frame_bytes(&hello);
-        let mut buf = FrameBuffer::new(1 << 16);
-
-        // Feed the frame one byte at a time: peek must stay Ok(None)
-        // until the last byte lands.
-        for (i, b) in bytes.iter().enumerate() {
-            assert!(
-                buf.peek().expect("no error on prefix").is_none(),
-                "byte {i}: incomplete frame must not parse"
-            );
-            let spare = buf.spare_mut();
-            assert!(!spare.is_empty());
-            if let Some(slot) = spare.first_mut() {
-                *slot = *b;
-            }
-            buf.commit(1);
-        }
-        let (header, payload) = buf
-            .peek()
-            .expect("complete frame decodes")
-            .expect("frame present");
-        assert_eq!(header.frame_type, 1);
-        assert_eq!(payload.len(), header.payload_len);
-        let payload_len = header.payload_len;
-        buf.consume(payload_len);
-        assert!(buf.is_empty());
-
-        // After consuming, the next write may reuse the front (reset /
-        // compaction) — feed two frames back to back and drain both.
-        let two: Vec<u8> = [bytes.as_slice(), bytes.as_slice()].concat();
-        let mut fed = 0;
-        while fed < two.len() {
-            let spare = buf.spare_mut();
-            let n = spare.len().min(two.len() - fed);
-            assert!(n > 0, "buffer must always offer spare room under cap");
-            if let Some(dst) = spare.get_mut(..n) {
-                dst.copy_from_slice(&two[fed..fed + n]);
-            }
-            buf.commit(n);
-            fed += n;
-        }
-        for _ in 0..2 {
-            let (h, _) = buf.peek().expect("decodes").expect("present");
-            let len = h.payload_len;
-            buf.consume(len);
-        }
-        assert!(buf.is_empty());
-    }
-
-    #[test]
-    fn frame_buffer_starts_small_and_caps_at_max_payload() {
-        let mut buf = FrameBuffer::new(DEFAULT_MAX_PAYLOAD);
-        // 10k idle connections must not cost 10 GB: the initial
-        // allocation is a few KiB, not HEADER + max_payload.
-        assert!(buf.spare_mut().len() <= INITIAL_RECV_BYTES);
-        let tiny = FrameBuffer::new(8);
-        assert!(tiny.max_payload == 8);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //!   checksums, framing *and* partial-frame reassembly are exercised),
 //!   delivery is deterministic, the ring gives real backpressure, and
 //!   no per-frame allocation happens in the transport itself — the
-//!   right substrate for tests and the committed benchmark baseline.
+//!   right substrate for deterministic tests and in-process soaks.
 //! * **TCP** — a std-only `TcpStream` transport with per-connection
 //!   read/write timeouts, a max-frame-size limit enforced *before*
 //!   buffering the payload, and an incremental reader that preserves
@@ -23,8 +23,8 @@
 //!   gateway's readiness reactor, exposing raw byte reads and vectored
 //!   writes that never park a thread.
 
-use crate::codec::{DecodeError, EncodeError, Frame};
-use crate::frame::{decode_frame, decode_header, Encoder, DEFAULT_MAX_PAYLOAD, HEADER_BYTES};
+use crate::codec::{decode_payload, DecodeError, EncodeError, Frame};
+use crate::frame::{Encoder, FrameBuffer, DEFAULT_MAX_PAYLOAD};
 use crate::pipe::{self, PipeReader, PipeWriter, TryRead, TryWrite};
 use std::error::Error;
 use std::fmt;
@@ -223,9 +223,8 @@ pub trait Acceptor: Send {
 //
 // `TcpStream` (with socket timeouts) and the pipe halves (with their
 // built-in timeout) expose the same blocking `Read`/`Write` shape, so
-// one framed sink and one incremental framed source serve both
-// transports — the loopback no longer has a separate, weaker framing
-// path.
+// one framed sink and one framed source serve both transports, and the
+// source parses with the same `FrameBuffer` as the reactor.
 
 fn map_write_err(error: std::io::Error, context: &'static str) -> TransportError {
     match error.kind() {
@@ -265,16 +264,15 @@ impl<W: Write + Send> FrameSink for StreamSink<W> {
     }
 }
 
-/// Incremental frame reader: reads the 20-byte header, learns the
-/// payload length (refusing oversize frames before buffering them),
-/// then reads exactly the payload. `filled` persists across timeouts,
-/// so a frame split across many reads reassembles correctly.
+/// Blocking frame reader over the shared [`FrameBuffer`]: `peek` →
+/// `decode_payload` → `consume`, reading into `spare_mut` only when no
+/// complete frame is buffered. It shares the reactor's framing path —
+/// oversize frames refused from the header, checksums checked, and
+/// partial frames kept across timeouts, so a frame split across many
+/// reads reassembles correctly.
 struct StreamSource<R: Read + Send> {
     stream: R,
-    buf: Vec<u8>,
-    filled: usize,
-    payload_len: Option<usize>,
-    max_payload: usize,
+    inbuf: FrameBuffer,
     context: &'static str,
 }
 
@@ -282,10 +280,7 @@ impl<R: Read + Send> StreamSource<R> {
     fn new(stream: R, max_payload: usize, context: &'static str) -> Self {
         Self {
             stream,
-            buf: Vec::new(),
-            filled: 0,
-            payload_len: None,
-            max_payload,
+            inbuf: FrameBuffer::new(max_payload),
             context,
         }
     }
@@ -294,66 +289,30 @@ impl<R: Read + Send> StreamSource<R> {
 impl<R: Read + Send> FrameSource for StreamSource<R> {
     fn recv(&mut self) -> Result<RecvOutcome, TransportError> {
         loop {
-            let target = match self.payload_len {
-                None => HEADER_BYTES,
-                Some(len) => HEADER_BYTES + len,
-            };
-            if self.filled < target {
-                if self.buf.len() < target {
-                    self.buf.resize(target, 0);
-                }
-                let Some(dst) = self.buf.get_mut(self.filled..target) else {
-                    // filled < target ≤ buf.len() by the resize above.
+            if let Some((header, payload)) = self.inbuf.peek()? {
+                let frame = decode_payload(header.frame_type, payload)?;
+                self.inbuf.consume(header.payload_len);
+                return Ok(RecvOutcome::Frame(frame));
+            }
+            match self.stream.read(self.inbuf.spare_mut()) {
+                Ok(0) if self.inbuf.is_empty() => return Ok(RecvOutcome::Closed),
+                Ok(0) => {
                     return Err(TransportError::Disconnected {
+                        context: "eof inside a frame",
+                    })
+                }
+                Ok(n) => self.inbuf.commit(n),
+                Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
+                    return Ok(RecvOutcome::TimedOut);
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(error) => {
+                    return Err(TransportError::Io {
                         context: self.context,
+                        error,
                     });
-                };
-                match self.stream.read(dst) {
-                    Ok(0) => {
-                        return if self.filled == 0 {
-                            Ok(RecvOutcome::Closed)
-                        } else {
-                            Err(TransportError::Disconnected {
-                                context: "eof inside a frame",
-                            })
-                        };
-                    }
-                    Ok(n) => {
-                        self.filled += n;
-                        continue;
-                    }
-                    Err(e) if matches!(e.kind(), ErrorKind::WouldBlock | ErrorKind::TimedOut) => {
-                        return Ok(RecvOutcome::TimedOut);
-                    }
-                    Err(e) if e.kind() == ErrorKind::Interrupted => continue,
-                    Err(error) => {
-                        return Err(TransportError::Io {
-                            context: self.context,
-                            error,
-                        });
-                    }
                 }
             }
-            if self.payload_len.is_none() {
-                let header = decode_header(&self.buf)?;
-                if header.payload_len > self.max_payload {
-                    return Err(DecodeError::Oversize {
-                        len: header.payload_len,
-                        max: self.max_payload,
-                    }
-                    .into());
-                }
-                self.payload_len = Some(header.payload_len);
-                continue;
-            }
-            // Header + payload complete: decode, verify, reset.
-            let frame_bytes = self.buf.get(..target).ok_or(TransportError::Disconnected {
-                context: self.context,
-            })?;
-            let (frame, _consumed) = decode_frame(frame_bytes, self.max_payload)?;
-            self.filled = 0;
-            self.payload_len = None;
-            return Ok(RecvOutcome::Frame(frame));
         }
     }
 }
@@ -765,6 +724,7 @@ impl PollConn for TcpPoll {
 mod tests {
     use super::*;
     use crate::codec::{Goodbye, Hello, PredictionFrame, PROTOCOL_VERSION};
+    use crate::frame::decode_frame;
 
     fn recv_frame(source: &mut Box<dyn FrameSource>) -> Frame {
         for _ in 0..200 {
